@@ -14,8 +14,7 @@
 //
 // The target is either a live server (-url) or a throwaway in-process server
 // (-self, listening on 127.0.0.1:0) so CI and A/B cache experiments need no
-// separate process. -self-cache-stripes 1 recreates the old single-mutex
-// result cache for before/after comparisons.
+// separate process.
 //
 // Output is a JSON report on stdout, or benchjson-compatible benchmark lines
 // when -bench NAME is given (appendable to a bench.txt consumed by
@@ -50,7 +49,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	url := fs.String("url", "", "target server base URL, e.g. http://127.0.0.1:8080 (mutually exclusive with -self)")
 	self := fs.Bool("self", false, "serve an in-process server on 127.0.0.1:0 and load-test it (no external process needed)")
 	selfCache := fs.Int("self-cache", 1024, "result-cache capacity of the -self server")
-	selfStripes := fs.Int("self-cache-stripes", 0, "result-cache stripes of the -self server (0 = GOMAXPROCS-derived default; 1 = old single-mutex cache, for A/B runs)")
 	duration := fs.Duration("duration", 5*time.Second, "measured run length")
 	qps := fs.Float64("qps", 0, "open-loop target arrival rate; 0 = closed loop (saturation throughput)")
 	workers := fs.Int("workers", 8, "concurrent request senders")
@@ -72,13 +70,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	ctx := context.Background()
 	base := *url
 	if *self {
-		addr, shutdown, err := startSelf(*selfCache, *selfStripes)
+		addr, shutdown, err := startSelf(*selfCache)
 		if err != nil {
 			return err
 		}
 		defer shutdown()
 		base = "http://" + addr
-		fmt.Fprintf(stderr, "hydra-loadgen: in-process server on %s (cache %d, stripes per -self-cache-stripes %d)\n", base, *selfCache, *selfStripes)
+		fmt.Fprintf(stderr, "hydra-loadgen: in-process server on %s (cache %d)\n", base, *selfCache)
 	}
 
 	rep, err := loadgen.Run(ctx, loadgen.Config{
@@ -104,8 +102,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 // startSelf boots an in-process hydra service on a loopback port and returns
 // its address plus a shutdown func.
-func startSelf(cacheSize, cacheStripes int) (string, func(), error) {
-	svc, err := service.New(service.Config{CacheSize: cacheSize, CacheStripes: cacheStripes})
+func startSelf(cacheSize int) (string, func(), error) {
+	svc, err := service.New(service.Config{CacheSize: cacheSize})
 	if err != nil {
 		return "", nil, err
 	}

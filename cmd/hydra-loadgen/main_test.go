@@ -36,7 +36,7 @@ func TestSelfModeJSONReport(t *testing.T) {
 func TestSelfModeBenchLines(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	err := run([]string{
-		"-self", "-self-cache-stripes", "1", "-duration", "150ms",
+		"-self", "-duration", "150ms",
 		"-workers", "2", "-bench", "LoadgenSmoke",
 	}, &stdout, &stderr)
 	if err != nil {
@@ -60,12 +60,11 @@ func TestSelfModeBenchLines(t *testing.T) {
 // before any traffic is generated.
 func TestBadFlags(t *testing.T) {
 	cases := [][]string{
-		{},                                      // neither -url nor -self
-		{"-url", "http://x", "-self"},           // both
-		{"-self", "-mix", "bogus=1"},            // unknown mix class
-		{"-self", "-mix", "hit"},                // malformed mix
-		{"-self", "-duration", "0s"},            // run too short
-		{"-self", "-self-cache-stripes", "257"}, // out of range, rejected by service.New
+		{},                            // neither -url nor -self
+		{"-url", "http://x", "-self"}, // both
+		{"-self", "-mix", "bogus=1"},  // unknown mix class
+		{"-self", "-mix", "hit"},      // malformed mix
+		{"-self", "-duration", "0s"},  // run too short
 	}
 	for _, args := range cases {
 		var stdout, stderr bytes.Buffer

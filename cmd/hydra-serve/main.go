@@ -46,8 +46,7 @@
 // written to a per-system write-ahead op log before it is acknowledged, a
 // snapshot is taken every -snapshot-every ops, and the next start recovers
 // every system by snapshot restore + log replay — bit-identical to a process
-// that never stopped, including event-log versions. The registry is sharded
-// (-system-shards) by consistent hash of the system id.
+// that never stopped, including event-log versions.
 package main
 
 import (
@@ -108,13 +107,11 @@ func run(args []string, logw io.Writer, ready, debugReady func(net.Addr)) error 
 	fs := flag.NewFlagSet("hydra-serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	cacheSize := fs.Int("cache", 1024, "allocation result cache capacity (entries)")
-	cacheStripes := fs.Int("cache-stripes", 0, "independently locked result-cache stripes, rounded up to a power of two, max 256 (0 = GOMAXPROCS-derived default; 1 = the old single-mutex cache, for A/B load tests)")
 	workers := fs.Int("workers", 0, "default batch worker-pool width (0 = GOMAXPROCS)")
 	jobsDir := fs.String("jobs-dir", "", "experiment-campaign checkpoint directory; interrupted campaigns found there resume on startup (empty = fresh temp dir, campaigns do not survive the process)")
 	maxJobs := fs.Int("max-jobs", 2, "concurrently running experiment campaigns; further submissions queue")
 	maxSystems := fs.Int("max-systems", 64, "long-lived online systems hosted under /v1/systems")
 	systemsDir := fs.String("systems-dir", "", "hosted-system persistence root: every system lives as a manifest + write-ahead op log + periodic snapshot, and is recovered by log replay on startup (empty = fresh temp dir, systems do not survive the process)")
-	systemShards := fs.Int("system-shards", 0, "independently locked system-registry shards selected by consistent hash of the system id, rounded up to a power of two, max 256 (0 = GOMAXPROCS-derived default; 1 = a single global lock, for A/B load tests)")
 	snapshotEvery := fs.Int("snapshot-every", 64, "ops between per-system snapshots — the recovery replay bound (<= 0 selects the default 64)")
 	walFsync := fs.Bool("wal-fsync", false, "fsync every system op-log append before acknowledging the mutation (survives kernel crashes at a per-admit latency cost; off = page-cache durability, survives process crashes)")
 	debugAddr := fs.String("debug-addr", "", "separate listener for the operational surface: /metrics, /v1/debug/traces and net/http/pprof under /debug/pprof/ (empty = no debug listener; pprof is only ever served here)")
@@ -125,12 +122,6 @@ func run(args []string, logw io.Writer, ready, debugReady func(net.Addr)) error 
 	shutdownTimeout := fs.Duration("shutdown-timeout", 10*time.Second, "grace period for draining connections on shutdown")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *cacheStripes < 0 || *cacheStripes > 256 {
-		return fmt.Errorf("-cache-stripes must be in [0, 256] (0 = GOMAXPROCS-derived default), got %d", *cacheStripes)
-	}
-	if *systemShards < 0 || *systemShards > 256 {
-		return fmt.Errorf("-system-shards must be in [0, 256] (0 = GOMAXPROCS-derived default), got %d", *systemShards)
 	}
 	if *traceSample < 0 {
 		return fmt.Errorf("-trace-sample must be >= 0 (0 = off), got %d", *traceSample)
@@ -146,9 +137,9 @@ func run(args []string, logw io.Writer, ready, debugReady func(net.Addr)) error 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	cfg := service.Config{
-		CacheSize: *cacheSize, CacheStripes: *cacheStripes, Workers: *workers,
+		CacheSize: *cacheSize, Workers: *workers,
 		JobsDir: *jobsDir, MaxJobs: *maxJobs, MaxSystems: *maxSystems,
-		SystemsDir: *systemsDir, SystemShards: *systemShards, SnapshotEvery: *snapshotEvery, SystemWALSync: *walFsync,
+		SystemsDir: *systemsDir, SnapshotEvery: *snapshotEvery, SystemWALSync: *walFsync,
 		TraceSample: *traceSample, TraceRing: *traceRing, Logger: logger,
 	}
 	return serve(ctx, *addr, *debugAddr, cfg, *shutdownTimeout, ready, debugReady)

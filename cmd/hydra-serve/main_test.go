@@ -378,12 +378,10 @@ func getRaw(t *testing.T, url string) (int, []byte) {
 // The acceptance test of the durable-systems tentpole: systems created and
 // mutated before a real in-process SIGINT come back on the next server start
 // from the same -systems-dir — same committed state byte for byte, event
-// versions contiguous across the restart — and keep taking mutations. The
-// restart also changes the shard count (4 -> 1), so the consistent-hash
-// rehome path runs end to end through the server.
+// versions contiguous across the restart — and keep taking mutations.
 func TestSigintAndDurableSystemsRecoverOnRestart(t *testing.T) {
 	systemsDir := t.TempDir()
-	base, errCh := startServer(t, "-systems-dir", systemsDir, "-system-shards", "4", "-snapshot-every", "3")
+	base, errCh := startServer(t, "-systems-dir", systemsDir, "-snapshot-every", "3")
 
 	for _, id := range []string{"alpha", "beta"} {
 		if code, raw := postJSON(t, base+"/v1/systems",
@@ -420,7 +418,7 @@ func TestSigintAndDurableSystemsRecoverOnRestart(t *testing.T) {
 	interrupt(t)
 	waitExit(t, errCh)
 
-	base2, errCh2 := startServer(t, "-systems-dir", systemsDir, "-system-shards", "1", "-snapshot-every", "3")
+	base2, errCh2 := startServer(t, "-systems-dir", systemsDir, "-snapshot-every", "3")
 	var list SystemListProbe
 	if code := getJSON(t, base2+"/v1/systems", &list); code != http.StatusOK {
 		t.Fatalf("list after restart: %d", code)
@@ -467,24 +465,6 @@ func TestBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-addr", "256.256.256.256:99999"}, io.Discard, nil, nil); err == nil {
 		t.Fatal("unlistenable address must error")
-	}
-	for _, stripes := range []string{"-1", "-17", "257", "100000"} {
-		err := run([]string{"-cache-stripes", stripes}, io.Discard, nil, nil)
-		if err == nil {
-			t.Fatalf("-cache-stripes %s must error", stripes)
-		}
-		if !strings.Contains(err.Error(), "cache-stripes") {
-			t.Fatalf("-cache-stripes %s: error %q does not name the flag", stripes, err)
-		}
-	}
-	for _, shards := range []string{"-1", "257", "100000"} {
-		err := run([]string{"-system-shards", shards}, io.Discard, nil, nil)
-		if err == nil {
-			t.Fatalf("-system-shards %s must error", shards)
-		}
-		if !strings.Contains(err.Error(), "system-shards") {
-			t.Fatalf("-system-shards %s: error %q does not name the flag", shards, err)
-		}
 	}
 	for flagArgs, name := range map[string]string{
 		"-trace-sample,-1":                  "trace-sample",
@@ -621,15 +601,4 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
-}
-
-// TestCacheStripesFlagAccepted: valid stripe counts (including the explicit
-// single-mutex 1) come up and serve.
-func TestCacheStripesFlagAccepted(t *testing.T) {
-	base, errCh := startServer(t, "-cache-stripes", "1")
-	if resp, err := http.Get(base + "/healthz"); err != nil || resp.StatusCode != 200 {
-		t.Fatalf("healthz with -cache-stripes 1: %v %v", resp, err)
-	}
-	interrupt(t)
-	waitExit(t, errCh)
 }

@@ -227,7 +227,7 @@ func (r *Registry) Counter(name, labels, help string) *Counter {
 }
 
 // CounterFunc registers a counter series whose value is read from fn at
-// scrape time — the bridge for counters owned elsewhere (cache stripes, job
+// scrape time — the bridge for counters owned elsewhere (result cache, job
 // manager, rts analysis counters). fn must be monotone for counter semantics
 // to hold.
 func (r *Registry) CounterFunc(name, labels, help string, fn func() uint64) {

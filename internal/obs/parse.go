@@ -10,7 +10,7 @@ import (
 
 // ParsePrometheus reads a text-format exposition back into a flat
 // series→value map, keyed exactly as rendered (name plus the literal label
-// body, e.g. `hydra_cache_hits_total{stripe="3"}`). It exists for the
+// body, e.g. `hydra_allocate_seconds_count{outcome="hit"}`). It exists for the
 // scrape-parse round-trip tests and the CI load smoke: the exposition this
 // package writes must survive a parse with no information loss. Duplicate
 // series are an error — Prometheus rejects them too.
@@ -46,8 +46,8 @@ func ParsePrometheus(r io.Reader) (map[string]float64, error) {
 }
 
 // SumSeries sums every parsed series whose name (the part before any '{')
-// equals name — the per-stripe → total aggregation the round-trip tests
-// assert against /v1/stats.
+// equals name — the across-labels total that scrape consumers compare
+// against /v1/stats.
 func SumSeries(series map[string]float64, name string) float64 {
 	var sum float64
 	for k, v := range series {

@@ -16,7 +16,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"hydra/internal/partition"
@@ -123,49 +122,14 @@ type CacheStats struct {
 	Capacity  int    `json:"capacity"`
 }
 
-// add folds another snapshot into s (the lossless per-stripe aggregation
-// behind Cache.Stats and /v1/stats).
-func (s *CacheStats) add(o CacheStats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Coalesced += o.Coalesced
-	s.Evictions += o.Evictions
-	s.Entries += o.Entries
-	s.Capacity += o.Capacity
-}
-
-// maxCacheStripes caps the stripe count at the cache's shard-selector width:
-// stripes are selected by the top byte of the SHA-256 key, so more than 256
-// could not be addressed.
-const maxCacheStripes = 256
-
-// DefaultCacheStripes returns the stripe count used when the configuration
-// leaves it unset: the next power of two at or above 4x GOMAXPROCS (capped at
-// 256), so that even with every processor in the serving hot path the
-// probability of two concurrent requests colliding on one stripe mutex stays
-// low.
-func DefaultCacheStripes() int {
-	return normalizeStripes(4 * runtime.GOMAXPROCS(0))
-}
-
-// normalizeStripes rounds n up to a power of two in [1, maxCacheStripes]
-// (power-of-two counts make shard selection a mask of the key's top byte).
-func normalizeStripes(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	s := 1
-	for s < n && s < maxCacheStripes {
-		s <<= 1
-	}
-	return s
-}
-
-// cacheShard is one independently locked LRU + singleflight stripe. A key
-// lives on exactly one shard (selected by the top bits of its SHA-256), so
-// the per-key coalescing guarantee is preserved: concurrent identical
-// requests meet on the same shard and collapse to one computation.
-type cacheShard struct {
+// Cache is a bounded, concurrency-safe LRU of computed response bodies with
+// singleflight deduplication: at most one computation per key runs at a time;
+// identical concurrent requests wait for it and share its result. Errors are
+// returned to every waiter but never cached.
+//
+// One mutex guards the LRU, the in-flight map and the counters. It is held
+// only for map and list bookkeeping, never across a computation.
+type Cache struct {
 	mu        sync.Mutex
 	capacity  int
 	ll        *list.List // front = most recently used
@@ -177,93 +141,17 @@ type cacheShard struct {
 	evictions uint64
 }
 
-// Cache is a bounded, concurrency-safe LRU of computed response bodies with
-// singleflight deduplication: at most one computation per key runs at a time;
-// identical concurrent requests wait for it and share its result. Errors are
-// returned to every waiter but never cached.
-//
-// Internally the cache is striped: keys are spread over independently locked
-// LRU shards by the top bits of their SHA-256, so concurrent requests for
-// different problems never serialize on one mutex. Counters are kept per
-// stripe and summed losslessly on Stats.
-type Cache struct {
-	shards []*cacheShard
-	mask   uint8 // len(shards)-1; stripe counts are powers of two
-}
-
-// NewCache builds a cache bounded to capacity entries (minimum 1) with the
-// default stripe count (DefaultCacheStripes).
+// NewCache builds a cache bounded to exactly capacity entries (minimum 1).
 func NewCache(capacity int) *Cache {
-	return NewCacheStriped(capacity, 0)
-}
-
-// NewCacheStriped builds a cache bounded to capacity entries (minimum 1)
-// spread over the given number of stripes. Stripes are rounded up to a power
-// of two in [1, 256]; zero or negative selects DefaultCacheStripes. The
-// capacity is distributed across stripes (every stripe holds at least one
-// entry), so the total bound is max(capacity, stripes).
-func NewCacheStriped(capacity, stripes int) *Cache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	if stripes <= 0 {
-		stripes = DefaultCacheStripes()
+	return &Cache{
+		capacity: capacity,
+		ll:       list.New(),
+		items:    make(map[string]*list.Element),
+		inflight: make(map[string]*flight),
 	}
-	stripes = normalizeStripes(stripes)
-	c := &Cache{shards: make([]*cacheShard, stripes), mask: uint8(stripes - 1)}
-	base, extra := capacity/stripes, capacity%stripes
-	for i := range c.shards {
-		cap := base
-		if i < extra {
-			cap++
-		}
-		if cap < 1 {
-			cap = 1
-		}
-		c.shards[i] = &cacheShard{
-			capacity: cap,
-			ll:       list.New(),
-			items:    make(map[string]*list.Element),
-			inflight: make(map[string]*flight),
-		}
-	}
-	return c
-}
-
-// Stripes returns the stripe count.
-func (c *Cache) Stripes() int { return len(c.shards) }
-
-// shardFor maps a key to its stripe by the top byte of the canonical SHA-256
-// (keys are its hex encoding, so the first two hex digits are the top 8
-// bits). Keys that are not hex — only synthetic test keys — fold their first
-// bytes instead; they still land on a single consistent shard.
-func (c *Cache) shardFor(key string) *cacheShard {
-	var top uint8
-	if len(key) >= 2 {
-		hi, okHi := hexNibble(key[0])
-		lo, okLo := hexNibble(key[1])
-		if okHi && okLo {
-			top = hi<<4 | lo
-		} else {
-			top = key[0] ^ key[1]
-		}
-	} else if len(key) == 1 {
-		top = key[0]
-	}
-	return c.shards[top&c.mask]
-}
-
-// hexNibble decodes one lowercase-hex digit.
-func hexNibble(b byte) (uint8, bool) {
-	switch {
-	case b >= '0' && b <= '9':
-		return b - '0', true
-	case b >= 'a' && b <= 'f':
-		return b - 'a' + 10, true
-	case b >= 'A' && b <= 'F':
-		return b - 'A' + 10, true
-	}
-	return 0, false
 }
 
 // Outcome classifies how Do produced its value.
@@ -286,25 +174,24 @@ func (o Outcome) FromMemory() bool { return o != OutcomeMiss }
 // Do returns the cached value for key, or runs compute to produce it. The
 // returned bytes must be treated as immutable.
 func (c *Cache) Do(key string, compute func() ([]byte, error)) (val []byte, outcome Outcome, err error) {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	if e, ok := sh.items[key]; ok {
-		sh.ll.MoveToFront(e)
-		sh.hits++
+	c.mu.Lock()
+	if e, ok := c.items[key]; ok {
+		c.ll.MoveToFront(e)
+		c.hits++
 		val = e.Value.(*centry).val
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		return val, OutcomeHit, nil
 	}
-	if f, ok := sh.inflight[key]; ok {
-		sh.coalesced++
-		sh.mu.Unlock()
+	if f, ok := c.inflight[key]; ok {
+		c.coalesced++
+		c.mu.Unlock()
 		<-f.done
 		return f.val, OutcomeCoalesced, f.err
 	}
 	f := &flight{done: make(chan struct{})}
-	sh.inflight[key] = f
-	sh.misses++
-	sh.mu.Unlock()
+	c.inflight[key] = f
+	c.misses++
+	c.mu.Unlock()
 
 	// A panicking compute must not poison the key: record an error for the
 	// coalesced waiters, release the flight, then let the panic continue
@@ -312,64 +199,43 @@ func (c *Cache) Do(key string, compute func() ([]byte, error)) (val []byte, outc
 	defer func() {
 		if r := recover(); r != nil {
 			f.err = fmt.Errorf("service: computation for key %s panicked: %v", key, r)
-			sh.finish(key, f)
+			c.finish(key, f)
 			panic(r)
 		}
 	}()
 	f.val, f.err = compute()
-	sh.finish(key, f)
+	c.finish(key, f)
 	return f.val, OutcomeMiss, f.err
 }
 
-// finish publishes a completed flight on its shard: deregisters it, caches
-// successful values (evicting beyond the shard capacity), and releases every
-// waiter.
-func (sh *cacheShard) finish(key string, f *flight) {
-	sh.mu.Lock()
-	delete(sh.inflight, key)
+// finish publishes a completed flight: deregisters it, caches successful
+// values (evicting beyond the capacity), and releases every waiter.
+func (c *Cache) finish(key string, f *flight) {
+	c.mu.Lock()
+	delete(c.inflight, key)
 	if f.err == nil {
-		sh.items[key] = sh.ll.PushFront(&centry{key: key, val: f.val})
-		for sh.ll.Len() > sh.capacity {
-			oldest := sh.ll.Back()
-			sh.ll.Remove(oldest)
-			delete(sh.items, oldest.Value.(*centry).key)
-			sh.evictions++
+		c.items[key] = c.ll.PushFront(&centry{key: key, val: f.val})
+		for c.ll.Len() > c.capacity {
+			oldest := c.ll.Back()
+			c.ll.Remove(oldest)
+			delete(c.items, oldest.Value.(*centry).key)
+			c.evictions++
 		}
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	close(f.done)
 }
 
-// stats snapshots one shard's counters.
-func (sh *cacheShard) stats() CacheStats {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return CacheStats{
-		Hits:      sh.hits,
-		Misses:    sh.misses,
-		Coalesced: sh.coalesced,
-		Evictions: sh.evictions,
-		Entries:   sh.ll.Len(),
-		Capacity:  sh.capacity,
-	}
-}
-
-// Stats snapshots the counters, summed losslessly across stripes.
+// Stats snapshots the counters.
 func (c *Cache) Stats() CacheStats {
-	var out CacheStats
-	for _, sh := range c.shards {
-		out.add(sh.stats())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return CacheStats{
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Coalesced: c.coalesced,
+		Evictions: c.evictions,
+		Entries:   c.ll.Len(),
+		Capacity:  c.capacity,
 	}
-	return out
-}
-
-// StripeStats snapshots every stripe's counters individually (stripe order).
-// Their field-wise sum equals Stats — the invariant the striped-cache hammer
-// test pins.
-func (c *Cache) StripeStats() []CacheStats {
-	out := make([]CacheStats, len(c.shards))
-	for i, sh := range c.shards {
-		out[i] = sh.stats()
-	}
-	return out
 }

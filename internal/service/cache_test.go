@@ -1,8 +1,6 @@
 package service
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -10,32 +8,21 @@ import (
 	"testing"
 )
 
-// hashedKey builds a realistic cache key (hex SHA-256) from a label, the
-// same shape Key produces, so the stripe selector exercises its real path.
-func hashedKey(label string) string {
-	sum := sha256.Sum256([]byte(label))
-	return hex.EncodeToString(sum[:])
-}
-
-// TestStripedCacheHammer drives 32 goroutines over overlapping keys and pins
-// the striped cache's contracts: exactly one computation per unique key
-// (singleflight preserved across stripes), per-stripe counters that sum
-// losslessly to the totals Stats reports, and contiguous eviction accounting
-// (inserts = entries + evictions). Run with -race.
-func TestStripedCacheHammer(t *testing.T) {
+// TestCacheHammer drives 32 goroutines over overlapping keys and pins the
+// cache's contracts: exactly one computation per key at a time (singleflight),
+// every call counted once as a hit, miss or coalesced wait, and contiguous
+// eviction accounting (inserts = entries + evictions). Run with -race.
+func TestCacheHammer(t *testing.T) {
 	const (
 		goroutines = 32
 		uniqueKeys = 48
 		rounds     = 64
 	)
-	c := NewCacheStriped(16, 8) // small capacity so evictions actually happen
-	if c.Stripes() != 8 {
-		t.Fatalf("stripes = %d, want 8", c.Stripes())
-	}
+	c := NewCache(16) // small capacity so evictions actually happen
 
 	keys := make([]string, uniqueKeys)
 	for i := range keys {
-		keys[i] = hashedKey(fmt.Sprintf("key-%03d", i))
+		keys[i] = fmt.Sprintf("key-%03d", i)
 	}
 	var computed [uniqueKeys]atomic.Int64
 	var inFlightComputes [uniqueKeys]atomic.Int64
@@ -81,23 +68,11 @@ func TestStripedCacheHammer(t *testing.T) {
 		totalComputes += uint64(n)
 	}
 
-	total := c.Stats()
-	perStripe := c.StripeStats()
-	if len(perStripe) != c.Stripes() {
-		t.Fatalf("StripeStats returned %d stripes, want %d", len(perStripe), c.Stripes())
-	}
-	var summed CacheStats
-	for _, st := range perStripe {
-		summed.add(st)
-	}
-	if summed != total {
-		t.Fatalf("per-stripe counters do not sum to totals:\nsum    %+v\ntotals %+v", summed, total)
-	}
-
 	// Counter book-keeping: every Do is a hit, a miss or a coalesced wait;
 	// misses equal actual computations; eviction accounting is contiguous
 	// (every successful computation was inserted, and every insert is either
 	// still resident or was evicted).
+	total := c.Stats()
 	if got, want := total.Hits+total.Misses+total.Coalesced, uint64(goroutines*rounds); got != want {
 		t.Fatalf("hits+misses+coalesced = %d, want %d", got, want)
 	}
@@ -107,19 +82,15 @@ func TestStripedCacheHammer(t *testing.T) {
 	if uint64(total.Entries)+total.Evictions != total.Misses {
 		t.Fatalf("entries(%d) + evictions(%d) != inserts(%d)", total.Entries, total.Evictions, total.Misses)
 	}
-	if total.Entries > total.Capacity {
-		t.Fatalf("entries %d exceed capacity %d", total.Entries, total.Capacity)
-	}
-	for i, st := range perStripe {
-		if st.Entries > st.Capacity {
-			t.Fatalf("stripe %d: entries %d exceed capacity %d", i, st.Entries, st.Capacity)
-		}
+	if total.Capacity != 16 || total.Entries > total.Capacity {
+		t.Fatalf("entries %d, capacity %d: want capacity exactly 16 and entries within it", total.Entries, total.Capacity)
 	}
 }
 
-// TestStripedCacheStatsMatchServiceTotals pins that the totals /v1/stats
-// reports are exactly the lossless sum of the per-stripe counters after
-// concurrent load through the full HTTP path.
+// TestStripedCacheStatsMatchServiceTotals pins the request accounting
+// /v1/stats reports after concurrent load through the full HTTP path: every
+// allocate request is counted exactly once as a hit, a miss or a coalesced
+// wait.
 func TestStripedCacheStatsMatchServiceTotals(t *testing.T) {
 	s := newServer(t)
 	const goroutines = 16
@@ -152,42 +123,7 @@ func TestStripedCacheStatsMatchServiceTotals(t *testing.T) {
 	if err := json.Unmarshal(get(t, s, "/v1/stats").Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	var summed CacheStats
-	for _, stripe := range s.cache.StripeStats() {
-		summed.add(stripe)
-	}
-	if summed != st.Cache {
-		t.Fatalf("/v1/stats cache counters != per-stripe sum:\nstats %+v\nsum   %+v", st.Cache, summed)
-	}
 	if st.Cache.Hits+st.Cache.Misses+st.Cache.Coalesced != goroutines*8 {
 		t.Fatalf("request accounting off: %+v", st.Cache)
-	}
-}
-
-// TestCacheStripesConfigValidation pins the Config.CacheStripes contract:
-// zero selects the GOMAXPROCS-derived default, in-range values are rounded
-// up to a power of two, and out-of-range values fail construction with a
-// clear error.
-func TestCacheStripesConfigValidation(t *testing.T) {
-	for _, bad := range []int{-1, -100, maxCacheStripes + 1} {
-		if _, err := New(Config{CacheStripes: bad}); err == nil {
-			t.Errorf("CacheStripes=%d: want construction error", bad)
-		}
-	}
-	s, err := New(Config{CacheStripes: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if got := s.cache.Stripes(); got != 4 {
-		t.Fatalf("CacheStripes=3 rounded to %d stripes, want 4", got)
-	}
-	d, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	if got, want := d.cache.Stripes(), DefaultCacheStripes(); got != want {
-		t.Fatalf("default stripes = %d, want %d", got, want)
 	}
 }

@@ -2,27 +2,15 @@ package service
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hydra/internal/stats"
 )
 
-// latencyStripes is how many independently locked sample rings one latency
-// series spreads over. Record picks a stripe round-robin with a single atomic
-// increment, so the hot path never serializes concurrent requests on one
-// mutex; snapshots merge every stripe's window. A fixed power of two keeps
-// stripe selection a mask and the zero value of latencyRecorder usable.
-const latencyStripes = 8
-
-// latencyWindow is how many recent samples each latency series retains in
-// total (split evenly across stripes); the reported quantiles are over this
-// sliding window, keeping the recorder's memory bounded no matter how long
-// the server runs.
+// latencyWindow is how many recent samples each latency series retains; the
+// reported quantiles are over this sliding window, keeping the recorder's
+// memory bounded no matter how long the server runs.
 const latencyWindow = 4096
-
-// latencyStripeWindow is one stripe's share of the window.
-const latencyStripeWindow = latencyWindow / latencyStripes
 
 // LatencyStats summarizes one request-latency series in milliseconds.
 type LatencyStats struct {
@@ -34,52 +22,33 @@ type LatencyStats struct {
 	MaxMS  float64 `json:"max_ms"`
 }
 
-// latencyStripe is one independently locked ring of recent samples.
-type latencyStripe struct {
+// latencyRecorder keeps a bounded ring of recent latency samples. The zero
+// value is ready to use.
+type latencyRecorder struct {
 	mu      sync.Mutex
 	samples []float64 // milliseconds, ring buffer
 	next    int
 	count   uint64
 }
 
-func (l *latencyStripe) add(ms float64) {
+func (l *latencyRecorder) add(d time.Duration) {
+	ms := float64(d) / float64(time.Millisecond)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.count++
-	if len(l.samples) < latencyStripeWindow {
+	if len(l.samples) < latencyWindow {
 		l.samples = append(l.samples, ms)
 		return
 	}
 	l.samples[l.next] = ms
-	l.next = (l.next + 1) % latencyStripeWindow
-}
-
-// latencyRecorder keeps a bounded, striped ring of recent latency samples.
-// The zero value is ready to use.
-type latencyRecorder struct {
-	n       atomic.Uint64
-	stripes [latencyStripes]latencyStripe
-}
-
-func (l *latencyRecorder) add(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
-	// Round-robin stripe selection: one atomic add instead of one shared
-	// mutex. Concurrent recorders land on different stripes and proceed
-	// independently.
-	l.stripes[l.n.Add(1)&(latencyStripes-1)].add(ms)
+	l.next = (l.next + 1) % latencyWindow
 }
 
 func (l *latencyRecorder) snapshot() LatencyStats {
-	window := make([]float64, 0, latencyWindow)
-	var count uint64
-	for i := range l.stripes {
-		s := &l.stripes[i]
-		s.mu.Lock()
-		window = append(window, s.samples...)
-		count += s.count
-		s.mu.Unlock()
-	}
-	out := LatencyStats{Count: count}
+	l.mu.Lock()
+	window := append([]float64(nil), l.samples...)
+	out := LatencyStats{Count: l.count}
+	l.mu.Unlock()
 	if len(window) == 0 {
 		return out
 	}

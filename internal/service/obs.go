@@ -49,7 +49,7 @@ type serverObs struct {
 	// every series in one exposition comes from one consistent cut.
 	scrape struct {
 		mu      sync.Mutex
-		stripes []CacheStats
+		cache   CacheStats
 		jobs    jobs.Counters
 		systems syspersist.Counters
 		rta     rts.AnalysisMetricsSnapshot
@@ -131,38 +131,22 @@ func (o *serverObs) ObserveWALFsync(d time.Duration) { o.walFsync.ObserveDuratio
 func (o *serverObs) ObserveSnapshot(d time.Duration) { o.snapWrite.ObserveDuration(d) }
 
 // bindMetrics registers the metric families that read live server state at
-// scrape time: per-stripe cache counters, jobs and systems counters, RTA
-// totals, and pool efficiency. Called once from New after the subsystems
-// exist.
+// scrape time: cache counters, jobs and systems counters, RTA totals, and
+// pool efficiency. Called once from New after the subsystems exist.
 func (s *Server) bindMetrics() {
 	o := s.obs
-	o.scrape.stripes = make([]CacheStats, s.cache.Stripes())
-	for i := range o.scrape.stripes {
-		i := i
-		label := `stripe="` + strconv.Itoa(i) + `"`
-		o.reg.CounterFunc("hydra_cache_hits_total", label, "Result-cache hits per stripe.",
-			func() uint64 { return o.scrape.stripes[i].Hits })
-		o.reg.CounterFunc("hydra_cache_misses_total", label, "Result-cache misses (computations run) per stripe.",
-			func() uint64 { return o.scrape.stripes[i].Misses })
-		o.reg.CounterFunc("hydra_cache_coalesced_total", label, "Requests coalesced onto an identical in-flight computation, per stripe.",
-			func() uint64 { return o.scrape.stripes[i].Coalesced })
-		o.reg.CounterFunc("hydra_cache_evictions_total", label, "LRU evictions per stripe.",
-			func() uint64 { return o.scrape.stripes[i].Evictions })
-	}
-	o.reg.GaugeFunc("hydra_cache_entries", "", "Cached result bodies across all stripes.", func() float64 {
-		var n int
-		for i := range o.scrape.stripes {
-			n += o.scrape.stripes[i].Entries
-		}
-		return float64(n)
-	})
-	o.reg.GaugeFunc("hydra_cache_capacity", "", "Result-cache capacity across all stripes.", func() float64 {
-		var n int
-		for i := range o.scrape.stripes {
-			n += o.scrape.stripes[i].Capacity
-		}
-		return float64(n)
-	})
+	o.reg.CounterFunc("hydra_cache_hits_total", "", "Result-cache hits.",
+		func() uint64 { return o.scrape.cache.Hits })
+	o.reg.CounterFunc("hydra_cache_misses_total", "", "Result-cache misses (computations run).",
+		func() uint64 { return o.scrape.cache.Misses })
+	o.reg.CounterFunc("hydra_cache_coalesced_total", "", "Requests coalesced onto an identical in-flight computation.",
+		func() uint64 { return o.scrape.cache.Coalesced })
+	o.reg.CounterFunc("hydra_cache_evictions_total", "", "LRU evictions.",
+		func() uint64 { return o.scrape.cache.Evictions })
+	o.reg.GaugeFunc("hydra_cache_entries", "", "Cached result bodies.",
+		func() float64 { return float64(o.scrape.cache.Entries) })
+	o.reg.GaugeFunc("hydra_cache_capacity", "", "Result-cache capacity.",
+		func() float64 { return float64(o.scrape.cache.Capacity) })
 
 	o.reg.ConstHistogram("hydra_rta_iterations", "", "Iterations per RTA fixed-point computation.", rtaIterBounds(),
 		func() obs.HistogramSnapshot {
@@ -359,7 +343,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	o := s.obs
 	o.scrape.mu.Lock()
 	defer o.scrape.mu.Unlock()
-	copy(o.scrape.stripes, s.cache.StripeStats())
+	o.scrape.cache = s.cache.Stats()
 	o.scrape.jobs = s.jobs.Counters()
 	o.scrape.systems = s.systems.Counters()
 	o.scrape.rta = rts.ReadAnalysisMetrics()

@@ -52,10 +52,9 @@ func normalizeExposition(text string) string {
 }
 
 // TestMetricsGolden pins the full series set of the exposition: every family,
-// every label combination, in registration order. Stripe and shard counts are
-// fixed so the per-stripe series are stable.
+// every label combination, in registration order.
 func TestMetricsGolden(t *testing.T) {
-	s, err := New(Config{CacheStripes: 2, SystemShards: 2})
+	s, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,10 +46,6 @@ type Config struct {
 	// CacheSize bounds the allocation result cache (entries). Zero or
 	// negative selects 1024.
 	CacheSize int
-	// CacheStripes is the number of independently locked result-cache
-	// stripes (rounded up to a power of two, max 256). Zero selects a
-	// GOMAXPROCS-derived default (DefaultCacheStripes); negative is invalid.
-	CacheStripes int
 	// Workers is the default worker-pool width for batch requests that leave
 	// workers unset. Zero selects GOMAXPROCS.
 	Workers int
@@ -68,11 +64,6 @@ type Config struct {
 	// startup by log replay. Empty selects a fresh temporary directory
 	// (systems then do not survive the process).
 	SystemsDir string
-	// SystemShards is the number of independently locked registry shards
-	// (rounded up to a power of two, max 256), selected by consistent hash
-	// of the system id. Zero selects a GOMAXPROCS-derived default
-	// (syspersist.DefaultShards); negative is invalid.
-	SystemShards int
 	// SnapshotEvery is the op count between per-system snapshots (the replay
 	// bound on recovery). Zero or negative selects 64.
 	SnapshotEvery int
@@ -118,12 +109,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 1024
 	}
-	if cfg.CacheStripes < 0 || cfg.CacheStripes > maxCacheStripes {
-		return nil, fmt.Errorf("service: cache stripes must be in [0, %d] (0 = GOMAXPROCS-derived default), got %d", maxCacheStripes, cfg.CacheStripes)
-	}
-	if cfg.SystemShards < 0 || cfg.SystemShards > 256 {
-		return nil, fmt.Errorf("service: system shards must be in [0, 256] (0 = GOMAXPROCS-derived default), got %d", cfg.SystemShards)
-	}
 	if cfg.TraceSample < 0 {
 		return nil, fmt.Errorf("service: trace sample must be non-negative (0 = off), got %d", cfg.TraceSample)
 	}
@@ -134,7 +119,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	registry, err := syspersist.Open(syspersist.Options{
 		Dir:           cfg.SystemsDir,
-		Shards:        cfg.SystemShards,
 		MaxSystems:    cfg.MaxSystems,
 		SnapshotEvery: cfg.SnapshotEvery,
 		Fsync:         cfg.SystemWALSync,
@@ -147,7 +131,7 @@ func New(cfg Config) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:     cfg,
-		cache:   NewCacheStriped(cfg.CacheSize, cfg.CacheStripes),
+		cache:   NewCache(cfg.CacheSize),
 		jobs:    mgr,
 		systems: registry,
 		obs:     sobs,

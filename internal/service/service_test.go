@@ -466,9 +466,7 @@ func TestEndToEndOverHTTP(t *testing.T) {
 }
 
 func TestCacheLRUBound(t *testing.T) {
-	// One stripe pins the classic LRU semantics; multi-stripe eviction
-	// accounting is covered by the striped hammer test.
-	c := NewCacheStriped(2, 1)
+	c := NewCache(2)
 	val := func(s string) func() ([]byte, error) {
 		return func() ([]byte, error) { return []byte(s), nil }
 	}
@@ -485,7 +483,7 @@ func TestCacheLRUBound(t *testing.T) {
 		t.Fatalf("c: outcome=%v v=%q", o, v)
 	}
 	st := c.Stats()
-	if st.Entries != 2 || st.Evictions != 2 {
+	if st.Entries != 2 || st.Evictions != 2 || st.Capacity != 2 {
 		t.Fatalf("stats: %+v", st)
 	}
 }

@@ -27,7 +27,7 @@ func BenchmarkDurableAdmit(b *testing.B) {
 		fsync bool
 	}{{"no-fsync", false}, {"fsync", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			r, err := syspersist.Open(syspersist.Options{Dir: b.TempDir(), Shards: 1, Fsync: mode.fsync})
+			r, err := syspersist.Open(syspersist.Options{Dir: b.TempDir(), Fsync: mode.fsync})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -58,7 +58,7 @@ func BenchmarkDurableAdmit(b *testing.B) {
 func BenchmarkSystemRecovery(b *testing.B) {
 	const ops = 200
 	dir := b.TempDir()
-	opts := syspersist.Options{Dir: dir, Shards: 1, SnapshotEvery: 1 << 20}
+	opts := syspersist.Options{Dir: dir, SnapshotEvery: 1 << 20}
 	r, err := syspersist.Open(opts)
 	if err != nil {
 		b.Fatal(err)

@@ -23,7 +23,7 @@ func (o *countObserver) ObserveSnapshot(time.Duration)  { o.snapshots.Add(1) }
 func TestObserverSeesAppendsAndSnapshots(t *testing.T) {
 	obs := &countObserver{}
 	r, err := syspersist.Open(syspersist.Options{
-		Dir: t.TempDir(), Shards: 1, MaxSystems: 4, SnapshotEvery: 2,
+		Dir: t.TempDir(), MaxSystems: 4, SnapshotEvery: 2,
 		Fsync: true, Observer: obs,
 	})
 	if err != nil {

@@ -4,15 +4,12 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"hydra/internal/online"
 	"hydra/internal/partition"
@@ -36,17 +33,6 @@ type Counters struct {
 	Events        uint64 `json:"events"`
 }
 
-func (c *Counters) add(o Counters) {
-	c.Active += o.Active
-	c.Created += o.Created
-	c.Deleted += o.Deleted
-	c.Admitted += o.Admitted
-	c.Rejected += o.Rejected
-	c.Removed += o.Removed
-	c.Reallocations += o.Reallocations
-	c.Events += o.Events
-}
-
 // idPattern restricts caller-chosen system ids to path- and log-safe names —
 // doubly important now that the id names a directory on disk.
 var idPattern = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]{0,63}$`)
@@ -59,73 +45,19 @@ var ErrSystemExists = fmt.Errorf("syspersist: system id already in use")
 // reached; the request is well-formed, capacity is the problem.
 var ErrRegistryFull = fmt.Errorf("syspersist: registry full")
 
-// maxShards caps the shard count; shards beyond the hash mask width would be
-// unreachable anyway, and 256 independently locked shards already exceed any
-// in-process contention this registry can see.
-const maxShards = 256
-
-// DefaultShards returns the shard count used when the configuration leaves
-// it unset: the next power of two at or above GOMAXPROCS (capped at 256), so
-// every processor mutating systems concurrently is unlikely to collide on a
-// shard lock.
-func DefaultShards() int {
-	return normalizeShards(runtime.GOMAXPROCS(0))
-}
-
-// normalizeShards rounds n up to a power of two in [1, maxShards]
-// (power-of-two counts make shard selection a mask; doubling the count moves
-// only the systems whose hash gains the new high bit, linear-hashing style).
-func normalizeShards(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	s := 1
-	for s < n && s < maxShards {
-		s <<= 1
-	}
-	return s
-}
-
-// shard is one independently locked slice of the id space, owning its
-// systems, its persistence subdirectory and its share of the counters.
-type shard struct {
-	mu      sync.Mutex
-	dir     string
-	systems map[string]*DurableSystem
-
-	created, deleted, admitted, rejected, removed, realloc, events uint64
-}
-
-// countEvent folds one system event into the shard counters. It is called
-// under the emitting system's lock; it takes only the shard lock (lock
-// order: system before shard, never the reverse).
-func (sh *shard) countEvent(e online.Event) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.events++
-	switch e.Type {
-	case online.EventAdmit:
-		sh.admitted++
-	case online.EventReject:
-		sh.rejected++
-	case online.EventRemove:
-		sh.removed++
-	case online.EventReallocate:
-		sh.realloc++
-	}
-}
+// homeDir is the subdirectory of the persistence root that holds every
+// system. It keeps the name earlier sharded registries gave their first
+// shard, so a directory written with one shard opens without any rename.
+const homeDir = "shard-0"
 
 // Options tunes a Registry.
 type Options struct {
-	// Dir is the persistence root; each shard owns a shard-<k> subdirectory.
+	// Dir is the persistence root; systems live in its shard-0 subdirectory.
 	// Empty selects a fresh temporary directory (systems then do not survive
 	// the process — the ephemeral mode the pre-durability registry offered).
 	Dir string
-	// Shards is the shard count, rounded up to a power of two in [1, 256].
-	// Zero or negative selects DefaultShards.
-	Shards int
-	// MaxSystems bounds the live systems across all shards, exactly. Zero or
-	// negative selects 64.
+	// MaxSystems bounds the live systems, exactly. Zero or negative selects
+	// 64.
 	MaxSystems int
 	// SnapshotEvery is the op count between per-system snapshots. Zero or
 	// negative selects 64.
@@ -139,36 +71,27 @@ type Options struct {
 	Observer Observer
 }
 
-// Registry hosts the durable systems of one server process, sharded by
-// consistent hash of the system id. Create with Open, which also recovers
-// every system found under the directory — including systems persisted under
-// a different shard count, which are rehomed to their current shard first.
+// Registry hosts the durable systems of one server process. Create with
+// Open, which also recovers every system found under the directory.
 type Registry struct {
-	dir    string
-	fsync  bool
-	obs    Observer
-	every  int
-	max    int
-	mask   uint32
-	shards []*shard
-	// live counts live systems plus in-flight creations, globally, so the
-	// MaxSystems bound stays exact however the ids hash across shards.
-	live atomic.Int64
-}
+	dir   string
+	home  string // dir/shard-0, the parent of every system directory
+	fsync bool
+	obs   Observer
+	every int
+	max   int
 
-// shardOf selects a system's home shard: FNV-1a of the id, masked. The
-// assignment is a pure function of (id, shard count), so every replica — and
-// every restart — agrees on it.
-func (r *Registry) shardOf(id string) *shard {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(id))
-	return r.shards[h.Sum32()&r.mask]
+	mu sync.Mutex
+	// systems maps ids to live systems. A nil value reserves an id while its
+	// system is being created or rebuilt; reservations count toward max.
+	systems map[string]*DurableSystem
+	n       Counters // Active is derived from systems on read
 }
 
 // Open builds the registry and recovers every persisted system under
-// opts.Dir. Systems sitting in a shard directory that is no longer their
-// home (the shard count changed across restarts) are moved before recovery;
-// shard directories left empty by the move are pruned.
+// opts.Dir. Systems that an earlier, sharded registry left in another
+// shard-<k> directory are moved into shard-0 before recovery, and the
+// emptied shard-<k> directories are removed.
 func Open(opts Options) (*Registry, error) {
 	dir := opts.Dir
 	if dir == "" {
@@ -178,11 +101,6 @@ func Open(opts Options) (*Registry, error) {
 		}
 		dir = tmp
 	}
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = DefaultShards()
-	}
-	shards = normalizeShards(shards)
 	max := opts.MaxSystems
 	if max <= 0 {
 		max = 64
@@ -192,22 +110,16 @@ func Open(opts Options) (*Registry, error) {
 		every = 64
 	}
 	r := &Registry{
-		dir:    dir,
-		fsync:  opts.Fsync,
-		obs:    opts.Observer,
-		every:  every,
-		max:    max,
-		mask:   uint32(shards - 1),
-		shards: make([]*shard, shards),
+		dir:     dir,
+		home:    filepath.Join(dir, homeDir),
+		fsync:   opts.Fsync,
+		obs:     opts.Observer,
+		every:   every,
+		max:     max,
+		systems: map[string]*DurableSystem{},
 	}
-	for k := range r.shards {
-		r.shards[k] = &shard{
-			dir:     filepath.Join(dir, fmt.Sprintf("shard-%d", k)),
-			systems: map[string]*DurableSystem{},
-		}
-		if err := os.MkdirAll(r.shards[k].dir, 0o755); err != nil {
-			return nil, err
-		}
+	if err := os.MkdirAll(r.home, 0o755); err != nil {
+		return nil, err
 	}
 	if err := r.recoverAll(); err != nil {
 		return nil, err
@@ -215,8 +127,8 @@ func Open(opts Options) (*Registry, error) {
 	return r, nil
 }
 
-// recoverAll scans every shard-* directory (current count or not), rehomes
-// systems whose hash home changed, and replays each into memory.
+// recoverAll scans every shard-* directory, moves each system found outside
+// shard-0 into it, and replays each into memory.
 func (r *Registry) recoverAll() error {
 	entries, err := os.ReadDir(r.dir)
 	if err != nil {
@@ -236,9 +148,8 @@ func (r *Registry) recoverAll() error {
 				continue
 			}
 			id := se.Name()
-			home := r.shardOf(id)
 			src := filepath.Join(shardDir, id)
-			dst := filepath.Join(home.dir, id)
+			dst := filepath.Join(r.home, id)
 			if src != dst {
 				if err := os.Rename(src, dst); err != nil {
 					return fmt.Errorf("syspersist: rehome %s: %w", id, err)
@@ -253,32 +164,37 @@ func (r *Registry) recoverAll() error {
 			}
 			// Attach the counter sink only after replay: replayed decisions
 			// are a previous life's activity, already counted then.
-			ds.sys.SetEventSink(home.countEvent)
-			home.systems[id] = ds
-			r.live.Add(1)
+			ds.sys.SetEventSink(r.countEvent)
+			r.systems[id] = ds
 		}
-		// Prune shard dirs from a larger previous count once emptied.
-		if shardDir != r.shards[r.shardIndexOfDir(e.Name())].dir {
+		if shardDir != r.home {
 			_ = os.Remove(shardDir) // fails (harmlessly) unless empty
 		}
 	}
 	return nil
 }
 
-// shardIndexOfDir maps a shard-<k> name onto the current shard array (k
-// beyond the count folds onto the mask so the comparison in recoverAll holds
-// exactly for current directories).
-func (r *Registry) shardIndexOfDir(name string) uint32 {
-	var k uint32
-	_, _ = fmt.Sscanf(name, "shard-%d", &k)
-	return k & r.mask
+// countEvent folds one system event into the registry counters. It is called
+// under the emitting system's lock; it takes only the registry lock (lock
+// order: system before registry, never the reverse).
+func (r *Registry) countEvent(e online.Event) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.n.Events++
+	switch e.Type {
+	case online.EventAdmit:
+		r.n.Admitted++
+	case online.EventReject:
+		r.n.Rejected++
+	case online.EventRemove:
+		r.n.Removed++
+	case online.EventReallocate:
+		r.n.Reallocations++
+	}
 }
 
 // Dir returns the persistence root.
 func (r *Registry) Dir() string { return r.dir }
-
-// Shards returns the shard count.
-func (r *Registry) Shards() int { return len(r.shards) }
 
 // Create builds a new durable system: the cold allocation runs first (no
 // disk state for infeasible tasksets), then the manifest is written and the
@@ -296,42 +212,39 @@ func (r *Registry) Create(id, scheme string, h partition.Heuristic, m int, rt []
 	} else if !idPattern.MatchString(id) {
 		return nil, fmt.Errorf("syspersist: invalid system id %q (want 1-64 chars of [a-zA-Z0-9._-], starting alphanumeric)", id)
 	}
-	// Reserve a slot in the global bound before anything else: the count is
-	// exact across shards because every path through creation either keeps
-	// the slot (success) or returns it (any failure).
-	if r.live.Add(1) > int64(r.max) {
-		r.live.Add(-1)
+	r.mu.Lock()
+	if len(r.systems) >= r.max {
+		r.mu.Unlock()
 		return nil, fmt.Errorf("%w (%d systems); delete one first", ErrRegistryFull, r.max)
 	}
-	sh := r.shardOf(id)
-	sh.mu.Lock()
-	if _, dup := sh.systems[id]; dup {
-		sh.mu.Unlock()
-		r.live.Add(-1)
+	if _, dup := r.systems[id]; dup {
+		r.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrSystemExists, id)
 	}
 	// Reserve the id while the (lock-free) cold allocation runs.
-	sh.systems[id] = nil
-	sh.mu.Unlock()
+	r.systems[id] = nil
+	r.mu.Unlock()
 
-	ds, err := r.buildSystem(sh, id, scheme, h, m, rt, part, sec, reallocateAfter)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	ds, err := r.buildSystem(id, scheme, h, m, rt, part, sec, reallocateAfter)
 	if err != nil {
-		delete(sh.systems, id)
-		r.live.Add(-1)
+		r.mu.Lock()
+		delete(r.systems, id)
+		r.mu.Unlock()
 		return nil, err
 	}
-	ds.sys.SetEventSink(sh.countEvent)
-	sh.events++ // NewSystem logged its create event before the sink was attached
-	sh.systems[id] = ds
-	sh.created++
+	// The system is not visible yet, so no event can slip past the sink.
+	ds.sys.SetEventSink(r.countEvent)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.n.Events++ // NewSystem logged its create event before the sink was attached
+	r.n.Created++
+	r.systems[id] = ds
 	return ds, nil
 }
 
 // buildSystem runs the cold allocation and initializes the on-disk store; no
 // locks are held.
-func (r *Registry) buildSystem(sh *shard, id, scheme string, h partition.Heuristic, m int, rt []rts.RTTask, part []int, sec []rts.SecurityTask, reallocateAfter int) (*DurableSystem, error) {
+func (r *Registry) buildSystem(id, scheme string, h partition.Heuristic, m int, rt []rts.RTTask, part []int, sec []rts.SecurityTask, reallocateAfter int) (*DurableSystem, error) {
 	sys, err := online.NewSystem(id, scheme, h, m, rt, part, sec)
 	if err != nil {
 		return nil, err
@@ -356,7 +269,7 @@ func (r *Registry) buildSystem(sh *shard, id, scheme string, h partition.Heurist
 	for _, t := range sec {
 		man.SecurityTasks = append(man.SecurityTasks, secToJSON(t))
 	}
-	dir := filepath.Join(sh.dir, id)
+	dir := filepath.Join(r.home, id)
 	store, err := CreateStore(dir, man, r.fsync, r.obs)
 	if err != nil {
 		_ = os.RemoveAll(dir)
@@ -367,14 +280,10 @@ func (r *Registry) buildSystem(sh *shard, id, scheme string, h partition.Heurist
 
 // Get returns the system with the given id.
 func (r *Registry) Get(id string) (*DurableSystem, bool) {
-	sh := r.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ds, ok := sh.systems[id]
-	if ds == nil {
-		return nil, false // reserved id mid-creation counts as absent
-	}
-	return ds, ok
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ds := r.systems[id]
+	return ds, ds != nil // a reserved id mid-creation counts as absent
 }
 
 // Delete removes a system from the registry and erases its persistence
@@ -382,19 +291,17 @@ func (r *Registry) Get(id string) (*DurableSystem, bool) {
 // in-flight operations finish or fail with ErrClosed; watchers of its event
 // stream observe no further events.
 func (r *Registry) Delete(id string) bool {
-	sh := r.shardOf(id)
-	sh.mu.Lock()
-	ds, ok := sh.systems[id]
-	if !ok || ds == nil {
-		sh.mu.Unlock()
+	r.mu.Lock()
+	ds := r.systems[id]
+	if ds == nil {
+		r.mu.Unlock()
 		return false
 	}
-	delete(sh.systems, id)
-	sh.deleted++
-	sh.mu.Unlock()
-	// Outside sh.mu: the lock order is system before shard (countEvent),
+	delete(r.systems, id)
+	r.n.Deleted++
+	r.mu.Unlock()
+	// Outside r.mu: the lock order is system before registry (countEvent),
 	// never the reverse.
-	r.live.Add(-1)
 	_ = ds.close()
 	_ = os.RemoveAll(ds.Dir())
 	return true
@@ -402,90 +309,64 @@ func (r *Registry) Delete(id string) bool {
 
 // List returns the live systems sorted by id.
 func (r *Registry) List() []*DurableSystem {
-	var out []*DurableSystem
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		for _, ds := range sh.systems {
-			if ds != nil {
-				out = append(out, ds)
-			}
+	r.mu.Lock()
+	out := make([]*DurableSystem, 0, len(r.systems))
+	for _, ds := range r.systems {
+		if ds != nil {
+			out = append(out, ds)
 		}
-		sh.mu.Unlock()
 	}
+	r.mu.Unlock()
 	sort.Slice(out, func(a, b int) bool { return out[a].ID() < out[b].ID() })
 	return out
 }
 
-// Counters aggregates the per-shard counters losslessly: each shard's
-// counters are read under its own lock, so every counted event lands in
-// exactly one shard total and the sum never double- or under-counts.
+// Counters snapshots the registry counters.
 func (r *Registry) Counters() Counters {
-	var total Counters
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		active := 0
-		for _, ds := range sh.systems {
-			if ds != nil {
-				active++
-			}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c := r.n
+	for _, ds := range r.systems {
+		if ds != nil {
+			c.Active++
 		}
-		total.add(Counters{
-			Active:        active,
-			Created:       sh.created,
-			Deleted:       sh.deleted,
-			Admitted:      sh.admitted,
-			Rejected:      sh.rejected,
-			Removed:       sh.removed,
-			Reallocations: sh.realloc,
-			Events:        sh.events,
-		})
-		sh.mu.Unlock()
 	}
-	return total
+	return c
 }
 
-// Rebalance moves a system onto its current home shard by the failover
-// recipe: close its store, relocate the directory, and replay the log into a
-// fresh instance — the exact path a real shard handoff would take, so the
-// rebuilt system is decision-identical to the one it replaces. The previous
-// *DurableSystem turns inert (mutations return ErrClosed); clients re-resolve
-// the id. Rebalancing a system already on its home shard is a close+replay in
-// place, which is how the tests pin replay byte-identity.
+// Rebalance rebuilds a system by the failover recipe: close its store and
+// replay its log into a fresh instance — the exact path a handoff to another
+// process would take, so the rebuilt system is decision-identical to the one
+// it replaces. The previous *DurableSystem turns inert (mutations return
+// ErrClosed); clients re-resolve the id. The tests use it to pin replay
+// byte-identity.
 func (r *Registry) Rebalance(id string) (*DurableSystem, error) {
-	sh := r.shardOf(id)
-	sh.mu.Lock()
-	ds, ok := sh.systems[id]
-	if !ok || ds == nil {
-		sh.mu.Unlock()
+	r.mu.Lock()
+	ds := r.systems[id]
+	if ds == nil {
+		r.mu.Unlock()
 		return nil, fmt.Errorf("syspersist: no such system %q", id)
 	}
 	// Keep the id reserved (nil) so a concurrent Create cannot take it while
 	// the system is offline for replay.
-	sh.systems[id] = nil
-	sh.mu.Unlock()
+	r.systems[id] = nil
+	r.mu.Unlock()
 
 	reinstate := func(v *DurableSystem) {
-		sh.mu.Lock()
-		sh.systems[id] = v
-		sh.mu.Unlock()
+		r.mu.Lock()
+		r.systems[id] = v
+		r.mu.Unlock()
 	}
 	if err := ds.close(); err != nil {
 		reinstate(ds)
 		return nil, err
 	}
-	dst := filepath.Join(sh.dir, id)
-	if ds.Dir() != dst {
-		if err := os.Rename(ds.Dir(), dst); err != nil {
-			reinstate(ds)
-			return nil, fmt.Errorf("syspersist: rebalance %s: %w", id, err)
-		}
-	}
-	fresh, err := Recover(dst, r.every, r.fsync, r.obs)
+	fresh, err := Recover(ds.Dir(), r.every, r.fsync, r.obs)
 	if err != nil {
 		reinstate(ds)
 		return nil, err
 	}
-	fresh.sys.SetEventSink(sh.countEvent)
+	fresh.sys.SetEventSink(r.countEvent)
 	reinstate(fresh)
 	return fresh, nil
 }
@@ -494,18 +375,8 @@ func (r *Registry) Rebalance(id string) (*DurableSystem, error) {
 // replays nothing) and closes the op logs. The registry must not be used
 // afterwards.
 func (r *Registry) Close() {
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		systems := make([]*DurableSystem, 0, len(sh.systems))
-		for _, ds := range sh.systems {
-			if ds != nil {
-				systems = append(systems, ds)
-			}
-		}
-		sh.mu.Unlock()
-		for _, ds := range systems {
-			_ = ds.Flush()
-			_ = ds.close()
-		}
+	for _, ds := range r.List() {
+		_ = ds.Flush()
+		_ = ds.close()
 	}
 }

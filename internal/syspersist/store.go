@@ -1,6 +1,5 @@
-// Package syspersist makes the long-lived systems of internal/online durable
-// and shards their registry for scale-out. Every hosted system lives in its
-// own directory as three files:
+// Package syspersist makes the long-lived systems of internal/online durable.
+// Every hosted system lives in its own directory as three files:
 //
 //	system.json    the creation manifest: id, scheme, heuristic, platform
 //	               size, policy knobs and the initial taskset. Immutable.
@@ -19,10 +18,9 @@
 // away, like the jobs checkpoint reader; the op it carried was never
 // acknowledged, so dropping it is correct.
 //
-// On top of the per-system store, Registry shards the id space over N
-// independently locked shards (consistent hash of the id, power-of-two
-// counts), each owning its systems and its persistence subdirectory, with
-// lossless counter aggregation and a rebalance path that moves a system by
+// On top of the per-system store, Registry hosts every system of a process
+// under one lock and one directory, <root>/shard-0/<id>, with exact
+// live-system accounting and a rebalance path that rebuilds a system by
 // closing its store and replaying its log.
 package syspersist
 

@@ -27,9 +27,9 @@ func testWorkload(t testing.TB, m int, util float64, seed int64) *taskgen.Worklo
 	return w
 }
 
-func openRegistry(t testing.TB, dir string, shards, snapshotEvery int) *syspersist.Registry {
+func openRegistry(t testing.TB, dir string, snapshotEvery int) *syspersist.Registry {
 	t.Helper()
-	r, err := syspersist.Open(syspersist.Options{Dir: dir, Shards: shards, MaxSystems: 128, SnapshotEvery: snapshotEvery})
+	r, err := syspersist.Open(syspersist.Options{Dir: dir, MaxSystems: 128, SnapshotEvery: snapshotEvery})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,55 +141,51 @@ func eventsFn(s interface {
 // the registry without any graceful flush — the crash — reopen the directory,
 // and require every recovered system to be decision-identical to a shadow
 // system that never restarted: same committed state, same event versions,
-// and byte-identical outcomes for future admits and reallocations. Run at
-// two shard counts so recovery works both under a single lock and sharded.
+// and byte-identical outcomes for future admits and reallocations.
 func TestKillRecoverDecisionIdentity(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
-			dir := t.TempDir()
-			r := openRegistry(t, dir, shards, 3) // snapshot every 3 ops: tails replay over snapshots
-			const systems = 3
-			type life struct {
-				id     string
-				w      *taskgen.Workload
-				shadow *online.System
-				vLive  uint64
-			}
-			lives := make([]*life, 0, systems)
-			for i := 0; i < systems; i++ {
-				id := fmt.Sprintf("sys-%d", i)
-				w := testWorkload(t, 2, 0.5, int64(40+i))
-				ds, err := r.Create(id, "hydra", partition.BestFit, 2, nil, nil, nil, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sh := shadow(t, id, 2)
-				driveOps(w, ds, 17+i)
-				driveOps(w, sh, 17+i)
-				if ds.Version() != sh.Version() {
-					t.Fatalf("%s: live version %d, shadow %d", id, ds.Version(), sh.Version())
-				}
-				lives = append(lives, &life{id: id, w: w, shadow: sh, vLive: ds.Version()})
-			}
-			// Crash: no Close, no Flush. Reopen the same directory.
-			r2 := openRegistry(t, dir, shards, 3)
-			defer r2.Close()
-			for _, l := range lives {
-				ds, ok := r2.Get(l.id)
-				if !ok {
-					t.Fatalf("system %s not recovered", l.id)
-				}
-				if ds.Version() != l.vLive {
-					t.Fatalf("%s: recovered version %d, want %d", l.id, ds.Version(), l.vLive)
-				}
-				got := snapJSON(t, ds.Snapshot())
-				want := snapJSON(t, l.shadow.Snapshot())
-				if string(got) != string(want) {
-					t.Fatalf("%s: recovered state diverged:\n%s\nvs\n%s", l.id, got, want)
-				}
-				assertFutureDecisionsEqual(t, ds, l.shadow, eventsFn(ds), eventsFn(l.shadow), l.vLive)
-			}
-		})
+	dir := t.TempDir()
+	r := openRegistry(t, dir, 3) // snapshot every 3 ops: tails replay over snapshots
+	const systems = 3
+	type life struct {
+		id     string
+		w      *taskgen.Workload
+		shadow *online.System
+		vLive  uint64
+	}
+	lives := make([]*life, 0, systems)
+	for i := 0; i < systems; i++ {
+		id := fmt.Sprintf("sys-%d", i)
+		w := testWorkload(t, 2, 0.5, int64(40+i))
+		ds, err := r.Create(id, "hydra", partition.BestFit, 2, nil, nil, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := shadow(t, id, 2)
+		driveOps(w, ds, 17+i)
+		driveOps(w, sh, 17+i)
+		if ds.Version() != sh.Version() {
+			t.Fatalf("%s: live version %d, shadow %d", id, ds.Version(), sh.Version())
+		}
+		lives = append(lives, &life{id: id, w: w, shadow: sh, vLive: ds.Version()})
+	}
+	// Crash: no Close, no Flush. Reopen the same directory.
+	r.Crash()
+	r2 := openRegistry(t, dir, 3)
+	defer r2.Close()
+	for _, l := range lives {
+		ds, ok := r2.Get(l.id)
+		if !ok {
+			t.Fatalf("system %s not recovered", l.id)
+		}
+		if ds.Version() != l.vLive {
+			t.Fatalf("%s: recovered version %d, want %d", l.id, ds.Version(), l.vLive)
+		}
+		got := snapJSON(t, ds.Snapshot())
+		want := snapJSON(t, l.shadow.Snapshot())
+		if string(got) != string(want) {
+			t.Fatalf("%s: recovered state diverged:\n%s\nvs\n%s", l.id, got, want)
+		}
+		assertFutureDecisionsEqual(t, ds, l.shadow, eventsFn(ds), eventsFn(l.shadow), l.vLive)
 	}
 }
 
@@ -199,7 +195,7 @@ func TestKillRecoverDecisionIdentity(t *testing.T) {
 // whatever order the race resolved to.
 func TestConcurrentDurableAdmitsRecoverExactly(t *testing.T) {
 	dir := t.TempDir()
-	r := openRegistry(t, dir, 2, 5)
+	r := openRegistry(t, dir, 5)
 	ds, err := r.Create("hammer", "hydra", partition.BestFit, 2, nil, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +217,8 @@ func TestConcurrentDurableAdmitsRecoverExactly(t *testing.T) {
 	liveState := snapJSON(t, ds.Snapshot())
 	liveVersion := ds.Version()
 	// Crash and recover.
-	r2 := openRegistry(t, dir, 2, 5)
+	r.Crash()
+	r2 := openRegistry(t, dir, 5)
 	defer r2.Close()
 	got, ok := r2.Get("hammer")
 	if !ok {
@@ -246,7 +243,7 @@ func TestRecoveryEdgeCases(t *testing.T) {
 	// build creates a registry with one system and n admitted tasks, without
 	// flushing, and returns the system dir plus the expected shadow.
 	build := func(t *testing.T, dir string, n int) (string, *online.System) {
-		r := openRegistry(t, dir, 1, 1000) // no automatic snapshots unless the case writes one
+		r := openRegistry(t, dir, 1000) // no automatic snapshots unless the case writes one
 		ds, err := r.Create("edge", "hydra", partition.BestFit, 2, nil, nil, nil, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -260,6 +257,7 @@ func TestRecoveryEdgeCases(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		r.Crash()
 		return ds.Dir(), sh
 	}
 	cases := []struct {
@@ -300,7 +298,7 @@ func TestRecoveryEdgeCases(t *testing.T) {
 			dir := t.TempDir()
 			sysDir, sh := build(t, dir, tc.ops)
 			tc.mutate(t, sysDir)
-			r := openRegistry(t, dir, 1, 1000)
+			r := openRegistry(t, dir, 1000)
 			defer r.Close()
 			ds, ok := r.Get("edge")
 			if !ok {
@@ -321,7 +319,7 @@ func TestRecoveryEdgeCases(t *testing.T) {
 // next recovery, and its directory must be gone (no disk leak).
 func TestDeleteDoesNotResurrect(t *testing.T) {
 	dir := t.TempDir()
-	r := openRegistry(t, dir, 2, 4)
+	r := openRegistry(t, dir, 4)
 	ds, err := r.Create("doomed", "hydra", partition.BestFit, 2, nil, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +334,7 @@ func TestDeleteDoesNotResurrect(t *testing.T) {
 	if _, err := os.Stat(sysDir); !os.IsNotExist(err) {
 		t.Fatalf("system dir leaked after delete: %v", err)
 	}
-	r2 := openRegistry(t, dir, 2, 4)
+	r2 := openRegistry(t, dir, 4)
 	defer r2.Close()
 	if _, ok := r2.Get("doomed"); ok {
 		t.Fatal("deleted system resurrected on recovery")
@@ -346,12 +344,13 @@ func TestDeleteDoesNotResurrect(t *testing.T) {
 	}
 }
 
-// TestShardCountChangeRehomes: systems persisted under one shard count must
-// recover intact under another — the consistent-hash home moves, the data
-// follows, decisions stay identical.
+// TestShardCountChangeRehomes: a directory written by an earlier, sharded
+// registry — systems spread over shard-<k> subdirectories — must recover
+// intact: every system byte-identical to a shadow that never stopped, moved
+// under shard-0, and no other shard-<k> directory left behind.
 func TestShardCountChangeRehomes(t *testing.T) {
 	dir := t.TempDir()
-	r := openRegistry(t, dir, 1, 3)
+	r := openRegistry(t, dir, 3)
 	shadows := map[string]*online.System{}
 	for i := 0; i < 6; i++ {
 		id := fmt.Sprintf("move-%d", i)
@@ -366,18 +365,43 @@ func TestShardCountChangeRehomes(t *testing.T) {
 		shadows[id] = sh
 	}
 	r.Close() // graceful: final snapshots written
-	r2 := openRegistry(t, dir, 8, 3)
+	// Recreate the layout an eight-shard registry leaves behind.
+	for id, k := range map[string]int{"move-1": 3, "move-2": 3, "move-3": 5, "move-4": 5} {
+		legacy := filepath.Join(dir, fmt.Sprintf("shard-%d", k))
+		if err := os.MkdirAll(legacy, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(filepath.Join(dir, "shard-0", id), filepath.Join(legacy, id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r2 := openRegistry(t, dir, 3)
 	defer r2.Close()
 	if got := len(r2.List()); got != 6 {
-		t.Fatalf("recovered %d systems under new shard count, want 6", got)
+		t.Fatalf("recovered %d systems from the sharded layout, want 6", got)
 	}
 	for id, sh := range shadows {
 		ds, ok := r2.Get(id)
 		if !ok {
 			t.Fatalf("system %s lost in rehome", id)
 		}
+		if want := filepath.Join(dir, "shard-0", id); ds.Dir() != want {
+			t.Fatalf("%s recovered from %s, want %s", id, ds.Dir(), want)
+		}
+		if ds.Version() != sh.Version() {
+			t.Fatalf("%s: recovered version %d, want %d", id, ds.Version(), sh.Version())
+		}
 		if got, want := snapJSON(t, ds.Snapshot()), snapJSON(t, sh.Snapshot()); string(got) != string(want) {
 			t.Fatalf("%s diverged after rehome:\n%s\nvs\n%s", id, got, want)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "shard-0" {
+			t.Errorf("%s left behind after rehome", e.Name())
 		}
 	}
 }
@@ -389,7 +413,7 @@ func TestShardCountChangeRehomes(t *testing.T) {
 // refuse further mutations instead of silently writing nowhere.
 func TestRebalanceByteIdentity(t *testing.T) {
 	dir := t.TempDir()
-	r := openRegistry(t, dir, 4, 1000) // no snapshots: rebalance must replay the full log
+	r := openRegistry(t, dir, 1000) // no snapshots: rebalance must replay the full log
 	ds, err := r.Create("roam", "hydra", partition.BestFit, 2, nil, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -420,12 +444,11 @@ func TestRebalanceByteIdentity(t *testing.T) {
 	assertFutureDecisionsEqual(t, fresh, sh, eventsFn(fresh), eventsFn(sh), preVersion)
 }
 
-// TestRegistryLifecycleAndCounters covers create/get/list/delete bookkeeping
-// and the lossless per-shard counter aggregation (ported from the pre-shard
-// registry and extended with the id-validation rules that now guard
-// directory names).
+// TestRegistryLifecycleAndCounters covers create/get/list/delete bookkeeping,
+// the registry counters, and the id-validation rules that guard directory
+// names.
 func TestRegistryLifecycleAndCounters(t *testing.T) {
-	r, err := syspersist.Open(syspersist.Options{Dir: t.TempDir(), Shards: 4, MaxSystems: 2, SnapshotEvery: 4})
+	r, err := syspersist.Open(syspersist.Options{Dir: t.TempDir(), MaxSystems: 2, SnapshotEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +499,7 @@ func TestRegistryLifecycleAndCounters(t *testing.T) {
 	// re-counting it.
 	dir := r.Dir()
 	r.Close()
-	r2 := openRegistry(t, dir, 4, 4)
+	r2 := openRegistry(t, dir, 4)
 	defer r2.Close()
 	c2 := r2.Counters()
 	if c2.Active != 1 || c2.Admitted != 0 || c2.Events != 0 || c2.Created != 0 {
@@ -485,12 +508,11 @@ func TestRegistryLifecycleAndCounters(t *testing.T) {
 }
 
 // TestMaxSystemsExactUnderConcurrentCreates hammers Create from many
-// goroutines against a small global bound: the cap must hold exactly across
-// shards (a per-shard bound would over- or under-admit depending on how the
-// ids hash).
+// goroutines against a small bound: in-flight creations hold their slot, so
+// the cap must hold exactly.
 func TestMaxSystemsExactUnderConcurrentCreates(t *testing.T) {
 	const max = 8
-	r, err := syspersist.Open(syspersist.Options{Dir: t.TempDir(), Shards: 4, MaxSystems: max, SnapshotEvery: 16})
+	r, err := syspersist.Open(syspersist.Options{Dir: t.TempDir(), MaxSystems: max, SnapshotEvery: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +576,7 @@ func errorsIs(err, target error) bool {
 // in-memory system does.
 func TestAutoReallocatePolicyPersists(t *testing.T) {
 	dir := t.TempDir()
-	r := openRegistry(t, dir, 2, 1000)
+	r := openRegistry(t, dir, 1000)
 	ds, err := r.Create("frag", "hydra-first-feasible", partition.BestFit, 2, nil, nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -572,8 +594,8 @@ func TestAutoReallocatePolicyPersists(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crash, recover: the knob must still fire on the first rejection.
-	r2 := openRegistry(t, dir, 2, 1000)
-	defer r2.Close()
+	r.Crash()
+	r2 := openRegistry(t, dir, 1000)
 	got, ok := r2.Get("frag")
 	if !ok {
 		t.Fatal("system not recovered")
@@ -595,7 +617,8 @@ func TestAutoReallocatePolicyPersists(t *testing.T) {
 	}
 	// And the whole dance must itself recover: crash again, compare.
 	state := snapJSON(t, got.Snapshot())
-	r3 := openRegistry(t, dir, 2, 1000)
+	r2.Crash()
+	r3 := openRegistry(t, dir, 1000)
 	defer r3.Close()
 	again, ok := r3.Get("frag")
 	if !ok {
