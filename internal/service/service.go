@@ -358,6 +358,13 @@ var bodyBufPool = sync.Pool{New: func() any {
 // decodeRequest strictly parses a JSON request body into v through a pooled
 // decode buffer.
 func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	return readRequest(w, r, func(body []byte) error { return decodeStrict(body, v) })
+}
+
+// readRequest drains a request body into a pooled buffer and hands the bytes
+// to decode, which must not retain them. A read or decode error becomes a
+// 400.
+func readRequest(w http.ResponseWriter, r *http.Request, decode func(body []byte) error) bool {
 	bodyBufGets.Add(1)
 	buf := bodyBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -366,9 +373,7 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 		writeError(w, http.StatusBadRequest, "parse request: %v", err)
 		return false
 	}
-	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decode(buf.Bytes()); err != nil {
 		writeError(w, http.StatusBadRequest, "parse request: %v", err)
 		return false
 	}
@@ -482,7 +487,10 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	tr := traceFrom(r.Context())
 	sp := tr.StartSpan("decode")
 	var req AllocateRequest
-	ok := decodeRequest(w, r, &req)
+	ok := readRequest(w, r, func(body []byte) (err error) {
+		req, err = decodeAllocate(body)
+		return err
+	})
 	sp.End()
 	if !ok {
 		return

@@ -158,8 +158,12 @@ func systemStatus(err error) int {
 }
 
 func (s *Server) handleSystemCreate(w http.ResponseWriter, r *http.Request) {
+	tr := traceFrom(r.Context())
+	sp := tr.StartSpan("decode")
 	var req SystemCreateRequest
-	if !decodeRequest(w, r, &req) {
+	ok := decodeRequest(w, r, &req)
+	sp.End()
+	if !ok {
 		return
 	}
 	h, err := partition.ParseHeuristic(req.Heuristic)
@@ -176,7 +180,7 @@ func (s *Server) handleSystemCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "reallocate_after must be >= 0, got %d", req.ReallocateAfter)
 		return
 	}
-	sp := traceFrom(r.Context()).StartSpan("persist-apply")
+	sp = tr.StartSpan("persist-apply")
 	sys, err := s.systems.Create(req.ID, req.Scheme, h, p.M, p.RT, p.RTPartition, p.Sec, req.ReallocateAfter)
 	sp.End()
 	if err != nil {
@@ -227,8 +231,12 @@ func (s *Server) handleSystemAddTask(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	tr := traceFrom(r.Context())
+	sp := tr.StartSpan("decode")
 	var req SystemTaskRequest
-	if !decodeRequest(w, r, &req) {
+	ok = decodeRequest(w, r, &req)
+	sp.End()
+	if !ok {
 		return
 	}
 	if (req.RTTask == nil) == (req.SecurityTask == nil) {
@@ -241,7 +249,7 @@ func (s *Server) handleSystemAddTask(w http.ResponseWriter, r *http.Request) {
 		placement online.Placement
 		err       error
 	)
-	sp := traceFrom(r.Context()).StartSpan("persist-apply")
+	sp = tr.StartSpan("persist-apply")
 	if req.RTTask != nil {
 		t := *req.RTTask
 		deadline := t.Deadline

@@ -1,6 +1,10 @@
 package tasksetio
 
-import "sort"
+import (
+	"sort"
+
+	"hydra/internal/rts"
+)
 
 // Canonical returns a copy of the problem in canonical form: real-time and
 // security tasks sorted by (name, parameters), a fixed partition permuted
@@ -11,7 +15,7 @@ import "sort"
 // allocation service hashes for its result cache. Allocating the canonical
 // form also makes the answer independent of the ordering the client sent.
 func (p *Problem) Canonical() *Problem {
-	c := &Problem{M: p.M}
+	c := &Problem{M: p.M, RT: withCap[rts.RTTask](len(p.RT)), Sec: withCap[rts.SecurityTask](len(p.Sec))}
 
 	rtOrder := make([]int, len(p.RT))
 	for i := range rtOrder {

@@ -65,7 +65,7 @@ func (d *Document) ToProblem() (*Problem, error) {
 	if d.Cores <= 0 {
 		return nil, fmt.Errorf("tasksetio: cores must be positive, got %d", d.Cores)
 	}
-	p := &Problem{M: d.Cores}
+	p := &Problem{M: d.Cores, RT: withCap[rts.RTTask](len(d.RTTasks)), Sec: withCap[rts.SecurityTask](len(d.SecurityTasks))}
 	for _, t := range d.RTTasks {
 		deadline := t.Deadline
 		if deadline == 0 {
@@ -93,6 +93,15 @@ func (d *Document) ToProblem() (*Problem, error) {
 		p.RTPartition = append([]int(nil), d.RTPartition...)
 	}
 	return p, nil
+}
+
+// withCap returns an empty slice with capacity n, or nil when n is 0: it
+// presizes an appended-to list while keeping an empty list nil.
+func withCap[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
 }
 
 // Partition returns the document's fixed partition, or computes one with the

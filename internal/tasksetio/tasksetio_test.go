@@ -39,6 +39,15 @@ func TestDecode(t *testing.T) {
 	if p.RTPartition != nil {
 		t.Fatal("no partition given, should be nil")
 	}
+	empty, err := Decode(strings.NewReader(`{"cores": 1, "rt_tasks": []}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []*Problem{empty, empty.Canonical()} {
+		if q.RT != nil || q.Sec != nil {
+			t.Fatalf("empty task lists should stay nil: %+v", q)
+		}
+	}
 }
 
 func TestDecodeErrors(t *testing.T) {
