@@ -160,10 +160,20 @@ func postWithHeader(t *testing.T, s *Server, path, body, key, val string) *httpt
 	return w
 }
 
+// getWithHeader is get with one extra request header.
+func getWithHeader(t *testing.T, s *Server, path, key, val string) *httptest.ResponseRecorder {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodGet, path, nil)
+	req.Header.Set(key, val)
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, req)
+	return w
+}
+
 // TestTracesEndpoint exercises the head-sampled trace ring end to end:
 // request-id propagation and generation, the recorded span trees of a cold
-// allocate and of a systems create and admit, the min_ms filter, and its
-// validation.
+// allocate and of a systems create, admit and GET, the min_ms filter, and
+// its validation.
 func TestTracesEndpoint(t *testing.T) {
 	s, err := New(Config{TraceSample: 1})
 	if err != nil {
@@ -190,6 +200,9 @@ func TestTracesEndpoint(t *testing.T) {
 		"X-Request-Id", "req-sys-admit"); w.Code != http.StatusOK {
 		t.Fatalf("admit: %d %s", w.Code, w.Body)
 	}
+	if w := getWithHeader(t, s, "/v1/systems/traced", "X-Request-Id", "req-sys-get"); w.Code != http.StatusOK {
+		t.Fatalf("get system: %d %s", w.Code, w.Body)
+	}
 
 	var resp TracesResponse
 	tw := get(t, s, "/v1/debug/traces")
@@ -214,8 +227,9 @@ func TestTracesEndpoint(t *testing.T) {
 		spans     []string
 	}{
 		{"req-cold-1", "POST /v1/allocate", []string{"decode", "canonical-key", "cache-do", "allocate-compute", "write-body"}},
-		{"req-sys-create", "POST /v1/systems", []string{"decode", "persist-apply"}},
+		{"req-sys-create", "POST /v1/systems", []string{"decode", "persist-apply", "encode", "write-body"}},
 		{"req-sys-admit", "POST /v1/systems/{id}/tasks", []string{"decode", "persist-apply"}},
+		{"req-sys-get", "GET /v1/systems/{id}", []string{"encode", "write-body"}},
 	} {
 		tr, ok := byID[c.id]
 		if !ok {

@@ -305,8 +305,8 @@ type errorResponse struct {
 }
 
 // respBufPool recycles response-encoding buffers: every JSON response is
-// built by an encoder writing into a pooled buffer instead of MarshalIndent
-// allocating a fresh (and internally doubled) one per request.
+// built in a pooled buffer, by an encoder or by writeRendered, instead of
+// MarshalIndent allocating a fresh (and internally doubled) one per request.
 var respBufPool = sync.Pool{New: func() any {
 	respBufNews.Add(1)
 	return new(bytes.Buffer)
@@ -333,13 +333,46 @@ func releaseBuf(buf *bytes.Buffer) { respBufPool.Put(buf) }
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	buf, err := encodeJSON(v)
 	if err != nil {
-		http.Error(w, `{"error":"encode response"}`, http.StatusInternalServerError)
+		writeEncodeError(w)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_, _ = w.Write(buf.Bytes())
 	releaseBuf(buf)
+}
+
+// writeRendered answers with the document render appends to an empty
+// slice, in writeJSON's shape, through a pooled buffer and without
+// reflection. render reports false for a document holding a NaN or infinite
+// float, which gets the 500 writeJSON gives for a value encoding/json
+// refuses. render takes and returns the slice rather than a
+// tasksetio.JSONWriter so that the writer stays on its caller's stack. The
+// rendering is traced as the encode span and the body write as write-body.
+func writeRendered(w http.ResponseWriter, tr *obs.Trace, code int, render func(b []byte) ([]byte, bool)) {
+	respBufGets.Add(1)
+	buf := respBufPool.Get().(*bytes.Buffer)
+	defer respBufPool.Put(buf)
+	buf.Reset()
+	sp := tr.StartSpan("encode")
+	b, ok := render(buf.AvailableBuffer())
+	// Writing the rendered bytes back keeps a grown slice for the next use.
+	buf.Write(append(b, '\n'))
+	sp.End()
+	if !ok {
+		writeEncodeError(w)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	sp = tr.StartSpan("write-body")
+	w.WriteHeader(code)
+	_, _ = w.Write(buf.Bytes())
+	sp.End()
+}
+
+// writeEncodeError answers a response that could not be encoded.
+func writeEncodeError(w http.ResponseWriter) {
+	http.Error(w, `{"error":"encode response"}`, http.StatusInternalServerError)
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {

@@ -51,7 +51,8 @@ type SystemSecTaskJSON struct {
 	Tightness     float64 `json:"tightness"`
 }
 
-// SystemJSON is the wire form of one system's committed state.
+// SystemJSON is the wire form of one system's committed state. The server
+// writes it with appendSystem; clients decode into it.
 type SystemJSON struct {
 	ID                  string              `json:"id"`
 	Scheme              string              `json:"scheme"`
@@ -105,37 +106,40 @@ type SystemDeleteResponse struct {
 	ID      string `json:"id"`
 }
 
-func systemJSON(snap online.Snapshot) SystemJSON {
-	out := SystemJSON{
-		ID:                  snap.ID,
-		Scheme:              snap.Scheme,
-		Heuristic:           snap.Heuristic.String(),
-		Cores:               snap.M,
-		Version:             snap.Version,
-		RTTasks:             []SystemRTTaskJSON{},
-		SecurityTasks:       []SystemSecTaskJSON{},
-		CumulativeTightness: snap.Cumulative,
-	}
+// appendSystem writes one system's committed state as a SystemJSON
+// document: the bytes encoding/json gives the SystemJSON of snap, at the
+// writer's current depth.
+func appendSystem(w *tasksetio.JSONWriter, snap online.Snapshot) {
+	w.BeginObject()
+	w.Key("id").String(snap.ID)
+	w.Key("scheme").String(snap.Scheme)
+	w.Key("heuristic").String(snap.Heuristic.String())
+	w.Key("cores").Int(snap.M)
+	w.Key("version").Uint(snap.Version)
+	w.Key("rt_tasks").BeginArray()
 	for _, p := range snap.RT {
-		j := SystemRTTaskJSON{Name: p.Task.Name, WCET: p.Task.C, Period: p.Task.T, Core: p.Core}
-		if p.Task.D != p.Task.T {
-			j.Deadline = p.Task.D
-		}
-		out.RTTasks = append(out.RTTasks, j)
+		w.Elem().PlacedRT(p.Task, p.Core)
 	}
+	w.EndArray()
+	w.Key("security_tasks").BeginArray()
 	for _, p := range snap.Sec {
-		out.SecurityTasks = append(out.SecurityTasks, SystemSecTaskJSON{
-			Name:          p.Task.Name,
-			WCET:          p.Task.C,
-			DesiredPeriod: p.Task.TDes,
-			MaxPeriod:     p.Task.TMax,
-			Weight:        p.Task.Weight,
-			Core:          p.Core,
-			PeriodMS:      p.Period,
-			Tightness:     p.Tightness(),
-		})
+		w.Elem().BeginObject()
+		w.PlacedSecurity(p.Task, p.Core, p.Period)
+		w.Key("tightness").Float(p.Tightness())
+		w.EndObject()
 	}
-	return out
+	w.EndArray()
+	w.Key("cumulative_tightness").Float(snap.Cumulative)
+	w.EndObject()
+}
+
+// writeSystem answers with one system's document.
+func writeSystem(w http.ResponseWriter, r *http.Request, code int, snap online.Snapshot) {
+	writeRendered(w, traceFrom(r.Context()), code, func(b []byte) ([]byte, bool) {
+		jw := tasksetio.JSONWriter{Buf: b}
+		appendSystem(&jw, snap)
+		return jw.Buf, jw.OK()
+	})
 }
 
 // systemStatus maps an online-package error onto an HTTP status: conflicts
@@ -187,15 +191,27 @@ func (s *Server) handleSystemCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, systemStatus(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, systemJSON(sys.Snapshot()))
+	writeSystem(w, r, http.StatusCreated, sys.Snapshot())
 }
 
 func (s *Server) handleSystemList(w http.ResponseWriter, r *http.Request) {
-	resp := SystemListResponse{Schemes: online.SupportedSchemes(), Systems: []SystemJSON{}}
-	for _, sys := range s.systems.List() {
-		resp.Systems = append(resp.Systems, systemJSON(sys.Snapshot()))
-	}
-	writeJSON(w, http.StatusOK, resp)
+	systems := s.systems.List()
+	writeRendered(w, traceFrom(r.Context()), http.StatusOK, func(b []byte) ([]byte, bool) {
+		jw := tasksetio.JSONWriter{Buf: b}
+		jw.BeginObject()
+		jw.Key("schemes").BeginArray()
+		for _, name := range online.SupportedSchemes() {
+			jw.Elem().String(name)
+		}
+		jw.EndArray()
+		jw.Key("systems").BeginArray()
+		for _, sys := range systems {
+			appendSystem(jw.Elem(), sys.Snapshot())
+		}
+		jw.EndArray()
+		jw.EndObject()
+		return jw.Buf, jw.OK()
+	})
 }
 
 // getSystem resolves {id} or writes a 404.
@@ -214,7 +230,7 @@ func (s *Server) handleSystemGet(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, systemJSON(sys.Snapshot()))
+	writeSystem(w, r, http.StatusOK, sys.Snapshot())
 }
 
 func (s *Server) handleSystemDelete(w http.ResponseWriter, r *http.Request) {
@@ -314,7 +330,7 @@ func (s *Server) handleSystemReallocate(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, systemJSON(snap))
+	writeSystem(w, r, http.StatusOK, snap)
 }
 
 // handleSystemEvents streams the system's decision log as server-sent

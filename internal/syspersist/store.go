@@ -95,6 +95,7 @@ type PlacedSecJSON struct {
 // SnapshotFile is snapshot.json: the committed allocation in commit order
 // plus every decision-affecting counter, as of op-log position Seq. Recovery
 // restores it and replays only records with Seq greater than this.
+// renderSnapshot writes it; recovery decodes into it.
 type SnapshotFile struct {
 	Seq           uint64          `json:"seq"`
 	Version       uint64          `json:"version"`
@@ -128,24 +129,33 @@ func secFromJSON(j tasksetio.SecurityTaskJSON) rts.SecurityTask {
 	return rts.SecurityTask{Name: j.Name, C: j.WCET, TDes: j.DesiredPeriod, TMax: j.MaxPeriod, Weight: j.Weight}
 }
 
-// snapshotOf converts a system's persisted state into the snapshot wire form
-// pinned to op-log position seq.
-func snapshotOf(ps online.PersistedState, seq uint64) SnapshotFile {
-	sn := SnapshotFile{
-		Seq:           seq,
-		Version:       ps.Version,
-		Cursor:        ps.Cursor,
-		RejectStreak:  ps.RejectStreak,
-		RTTasks:       []PlacedRTJSON{},
-		SecurityTasks: []PlacedSecJSON{},
+// renderSnapshot renders snapshot.json for a persisted state pinned to
+// op-log position seq: the bytes json.MarshalIndent gives the SnapshotFile
+// of that state, indented by two spaces, plus a newline. It reports false
+// when the state holds a NaN or infinite float, which encoding/json refuses.
+func renderSnapshot(ps online.PersistedState, seq uint64) ([]byte, bool) {
+	var w tasksetio.JSONWriter
+	w.BeginObject()
+	w.Key("seq").Uint(seq)
+	w.Key("version").Uint(ps.Version)
+	w.Key("cursor").Int(ps.Cursor)
+	if ps.RejectStreak != 0 {
+		w.Key("reject_streak").Int(ps.RejectStreak)
 	}
+	w.Key("rt_tasks").BeginArray()
 	for _, p := range ps.RT {
-		sn.RTTasks = append(sn.RTTasks, PlacedRTJSON{RTTaskJSON: rtToJSON(p.Task), Core: p.Core})
+		w.Elem().PlacedRT(p.Task, p.Core)
 	}
+	w.EndArray()
+	w.Key("security_tasks").BeginArray()
 	for _, p := range ps.Sec {
-		sn.SecurityTasks = append(sn.SecurityTasks, PlacedSecJSON{SecurityTaskJSON: secToJSON(p.Task), Core: p.Core, PeriodMS: p.Period})
+		w.Elem().BeginObject()
+		w.PlacedSecurity(p.Task, p.Core, p.Period)
+		w.EndObject()
 	}
-	return sn
+	w.EndArray()
+	w.EndObject()
+	return append(w.Buf, '\n'), w.OK()
 }
 
 // persistedState converts the snapshot back to the engine's restore form.
@@ -271,17 +281,18 @@ func (st *Store) Append(rec *Record) error {
 	return nil
 }
 
-// WriteSnapshot atomically replaces snapshot.json.
-func (st *Store) WriteSnapshot(sn SnapshotFile) error {
-	data, err := json.MarshalIndent(&sn, "", "  ")
-	if err != nil {
-		return err
+// WriteSnapshot atomically replaces snapshot.json with the persisted state
+// pinned to op-log position seq.
+func (st *Store) WriteSnapshot(ps online.PersistedState, seq uint64) error {
+	data, ok := renderSnapshot(ps, seq)
+	if !ok {
+		return fmt.Errorf("syspersist: snapshot of op %d holds a non-finite float", seq)
 	}
 	var t0 time.Time
 	if st.obs != nil {
 		t0 = time.Now()
 	}
-	err = writeFileAtomic(filepath.Join(st.dir, snapshotName), append(data, '\n'), st.fsync)
+	err := writeFileAtomic(filepath.Join(st.dir, snapshotName), data, st.fsync)
 	if st.obs != nil && err == nil {
 		st.obs.ObserveSnapshot(time.Since(t0))
 	}

@@ -102,7 +102,7 @@ func (d *DurableSystem) writeSnap(ps online.PersistedState, seq uint64) error {
 	if seq < d.snapSeq {
 		return nil
 	}
-	if err := d.store.WriteSnapshot(snapshotOf(ps, seq)); err != nil {
+	if err := d.store.WriteSnapshot(ps, seq); err != nil {
 		return err
 	}
 	d.snapSeq = seq

@@ -2,6 +2,8 @@ package tasksetio
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -30,6 +32,37 @@ func FuzzDecode(f *testing.F) {
 		}
 		if len(p2.RT) != len(p.RT) || len(p2.Sec) != len(p.Sec) || p2.M != p.M {
 			t.Fatal("round trip changed the problem shape")
+		}
+	})
+}
+
+// FuzzAppendJSON checks the JSON primitives against encoding/json: for any
+// string and any float64 bit pattern, each appends exactly the bytes
+// json.Marshal returns, or both fail. The committed corpus seeds NaN, the
+// infinities, -0, a subnormal, the 'e'-form cutoffs, invalid UTF-8,
+// U+2028, HTML characters and control characters.
+func FuzzAppendJSON(f *testing.F) {
+	// Each primitive appends to a fresh copy of prefix, so what it leaves
+	// before its output is checked too.
+	const prefix = "p"
+	f.Fuzz(func(t *testing.T, s string, bits uint64) {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("json.Marshal(%q): %v", s, err)
+		}
+		if got := appendString([]byte(prefix), s); string(got) != prefix+string(want) {
+			t.Fatalf("appendString(%q) = %q, json.Marshal = %q", s, got, want)
+		}
+		x := math.Float64frombits(bits)
+		want, err = json.Marshal(x)
+		got, ok := appendFloat([]byte(prefix), x)
+		switch {
+		case ok != (err == nil):
+			t.Fatalf("appendFloat(%v) ok = %t, json.Marshal error = %v", x, ok, err)
+		case ok && string(got) != prefix+string(want):
+			t.Fatalf("appendFloat(%v) = %q, json.Marshal = %q", x, got, want)
+		case !ok && string(got) != prefix:
+			t.Fatalf("appendFloat(%v) failed but appended to %q", x, got)
 		}
 	})
 }
