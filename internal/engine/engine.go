@@ -22,6 +22,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"hydra/internal/stats"
 )
@@ -65,8 +66,8 @@ type Options struct {
 // Run evaluates fn over every cell on a bounded worker pool and returns the
 // results in cell order. It stops early when ctx is cancelled or any cell
 // fails; the first error (by cell index, deterministically) is returned.
-// Cells still in flight when an error occurs are allowed to finish, but no
-// new cells are started.
+// A failure starts no cell above its index; cells below it and cells in
+// flight still run with ctx uncancelled, so the lowest failing cell runs.
 func Run[C, R any](ctx context.Context, cells []C, fn func(ctx context.Context, idx int, rng *rand.Rand, cell C) (R, error), opts Options) ([]R, error) {
 	if len(cells) == 0 {
 		return []R{}, nil
@@ -90,9 +91,18 @@ func Run[C, R any](ctx context.Context, cells []C, fn func(ctx context.Context, 
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 
-	parent := ctx
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	feedCtx, stopFeed := context.WithCancel(ctx)
+	defer stopFeed()
+	var failed atomic.Int64 // lowest failed cell index so far
+	failed.Store(int64(len(cells)))
+	fail := func(idx int) {
+		for cur := failed.Load(); int64(idx) < cur; cur = failed.Load() {
+			if failed.CompareAndSwap(cur, int64(idx)) {
+				break
+			}
+		}
+		stopFeed()
+	}
 
 	results := make([]R, len(cells))
 	errs := make([]error, len(cells))
@@ -103,19 +113,18 @@ func Run[C, R any](ctx context.Context, cells []C, fn func(ctx context.Context, 
 		go func() {
 			defer wg.Done()
 			for idx := range idxCh {
-				// Re-check cancellation per cell: the feed's send can race
-				// with ctx.Done in its select, so a cancelled run may still
-				// hand out queued cells. Skipping them here guarantees no
-				// cell *starts* after cancellation — a cancelled Run returns
-				// within the work of the cells already in flight.
-				if ctx.Err() != nil {
+				// Re-check per cell: the feed's send can race with its stop,
+				// so a stopped run may still hand out queued cells. Skipping
+				// them guarantees no cell *starts* after cancellation, while a
+				// cell below a failed one still runs: the lowest failure wins.
+				if ctx.Err() != nil || int64(idx) > failed.Load() {
 					continue
 				}
 				rng := stats.VersionedRNG(version, opts.Seed, stream(idx))
 				r, err := fn(ctx, idx, rng, cells[idx])
 				if err != nil {
 					errs[idx] = err
-					cancel() // stop feeding new cells
+					fail(idx)
 					continue
 				}
 				results[idx] = r
@@ -136,14 +145,14 @@ feed:
 					results[i] = r
 				} else {
 					errs[i] = fmt.Errorf("precomputed result has type %T, want %T", v, results[i])
-					cancel()
+					fail(i)
 				}
 				continue
 			}
 		}
 		select {
 		case idxCh <- i:
-		case <-ctx.Done():
+		case <-feedCtx.Done():
 			break feed
 		}
 	}
@@ -155,7 +164,7 @@ feed:
 			return nil, fmt.Errorf("engine: cell %d: %w", i, err)
 		}
 	}
-	if err := parent.Err(); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return results, nil

@@ -140,8 +140,8 @@ func TestRunFig2SmallScale(t *testing.T) {
 	if pts[0].ImprovementPct != 0 {
 		t.Fatalf("lowest utilization should have 0 improvement, got %v", pts[0].ImprovementPct)
 	}
-	if pts[0].HydraRatio() != 1 || pts[0].SingleRatio() != 1 {
-		t.Fatalf("lowest utilization should accept all: %v / %v", pts[0].HydraRatio(), pts[0].SingleRatio())
+	if pts[0].Ratio(0) != 1 || pts[0].Ratio(1) != 1 {
+		t.Fatalf("lowest utilization should accept all: %v / %v", pts[0].Ratio(0), pts[0].Ratio(1))
 	}
 	// Highest utilization: SingleCore collapses, improvement large.
 	last := pts[len(pts)-1]

@@ -84,14 +84,6 @@ func (p Fig2Point) Ratio(i int) float64 {
 	return float64(p.Accepted[i]) / float64(p.Generated)
 }
 
-// HydraRatio returns the acceptance ratio of the first scheme (HYDRA under
-// the default configuration).
-func (p Fig2Point) HydraRatio() float64 { return p.Ratio(0) }
-
-// SingleRatio returns the acceptance ratio of the second scheme (SingleCore
-// under the default configuration).
-func (p Fig2Point) SingleRatio() float64 { return p.Ratio(1) }
-
 // RunFig2 reproduces one subplot of Fig. 2 (one M). For every utilization
 // level it generates random workloads (Randfixedsum utilizations, paper
 // parameter ranges), filters by the Eq. 1 necessary condition, and counts
@@ -145,11 +137,16 @@ func runFig2(ctx context.Context, cfg Fig2Config, hooks Hooks) (*Fig2Result, err
 	// Rebuild singlecore with the swept heuristic so the comparison arms
 	// stay apples-to-apples, and remember which schemes partition the RT
 	// tasks themselves — those can run even when the shared M-core
-	// partition fails.
+	// partition fails. First-fit and best-fit fill a prefix of the cores
+	// (partition.PartitionRT), so there singlecore skips its repack and runs
+	// on the shared input: it rejects if that packing failed or used core M-1.
 	selfPartitions := make([]bool, len(allocs))
 	for i, a := range allocs {
 		if a.Name() == "singlecore" {
 			allocs[i] = core.NewSingleCoreAllocator(c.Heuristic)
+			if c.Heuristic == partition.FirstFit || c.Heuristic == partition.BestFit {
+				allocs[i] = core.NewAllocator("singlecore", core.SingleCoreInput)
+			}
 		}
 		selfPartitions[i] = core.SelfPartitions(allocs[i])
 	}

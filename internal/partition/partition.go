@@ -1,8 +1,9 @@
 // Package partition implements multicore partitioning heuristics for the
 // real-time tasks (Davis & Burns survey [13]): first-fit, best-fit,
-// worst-fit and next-fit over decreasing-utilization task order, each with
-// exact response-time-analysis admission on every core. The paper's
-// evaluation partitions real-time tasks with best-fit (Sec. IV-B).
+// worst-fit and next-fit over decreasing-utilization task order, each
+// admitting a task only under exact response-time analysis, run on every
+// core that could still be chosen (see ChooseCore). The paper's evaluation
+// partitions real-time tasks with best-fit (Sec. IV-B).
 package partition
 
 import (
@@ -83,24 +84,6 @@ func (p *Partition) Cores(tasks []rts.RTTask) [][]rts.RTTask {
 	return out
 }
 
-// Loads returns the Eq. 5 load aggregates (sum C, sum U) per core.
-func (p *Partition) Loads(tasks []rts.RTTask) []rts.CoreLoad {
-	loads := make([]rts.CoreLoad, p.M)
-	for i, c := range p.CoreOf {
-		loads[c].AddRT(tasks[i])
-	}
-	return loads
-}
-
-// Utilizations returns per-core total utilization.
-func (p *Partition) Utilizations(tasks []rts.RTTask) []float64 {
-	u := make([]float64, p.M)
-	for i, c := range p.CoreOf {
-		u[c] += tasks[i].Utilization()
-	}
-	return u
-}
-
 // PartitionRT partitions the real-time tasks onto m cores with the given
 // heuristic. Tasks are considered in decreasing-utilization order (the
 // standard companion ordering for these heuristics) and each placement is
@@ -114,6 +97,11 @@ func (p *Partition) Utilizations(tasks []rts.RTTask) []float64 {
 // instead of re-sorting and re-iterating the whole core from scratch per
 // candidate. Placements and verdicts are identical to the historical
 // cold-start implementation.
+//
+// First-fit and best-fit fill a prefix of the cores, because an empty core
+// admits every valid task (its response time is C <= D). So the packing onto
+// m-1 cores is the one onto m cores if that leaves core m-1 empty, and fails
+// otherwise, as it does when the m-core packing fails (FuzzNestedPacking).
 func PartitionRT(tasks []rts.RTTask, m int, h Heuristic) (*Partition, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("partition: need at least one core, got %d", m)
@@ -160,6 +148,10 @@ func PartitionRT(tasks []rts.RTTask, m int, h Heuristic) (*Partition, error) {
 // error for an unknown heuristic. Both the real-time partitioner and the
 // security-task bin-packing baseline route their selection through here so
 // tie-breaking stays identical.
+//
+// Best-fit and worst-fit call admits on every core until one admits, then
+// only on cores whose util beats the chosen one's: they choose what a full
+// scan chooses, and -1 still means every core was tried.
 func ChooseCore(h Heuristic, m int, admits func(int) bool, util func(int) float64, cursor *int) (int, error) {
 	chosen := -1
 	switch h {
@@ -173,17 +165,15 @@ func ChooseCore(h Heuristic, m int, admits func(int) bool, util func(int) float6
 	case BestFit:
 		bestU := -1.0
 		for c := 0; c < m; c++ {
-			if admits(c) && util(c) > bestU {
-				bestU = util(c)
-				chosen = c
+			if u := util(c); (chosen < 0 || u > bestU) && admits(c) && u > bestU {
+				bestU, chosen = u, c
 			}
 		}
 	case WorstFit:
 		bestU := math.Inf(1)
 		for c := 0; c < m; c++ {
-			if admits(c) && util(c) < bestU {
-				bestU = util(c)
-				chosen = c
+			if u := util(c); (chosen < 0 || u < bestU) && admits(c) && u < bestU {
+				bestU, chosen = u, c
 			}
 		}
 	case NextFit:

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -64,10 +65,11 @@ func TestBestFitPacksTightly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := p.Utilizations(tasks)
-	for c, uc := range u {
-		if uc > 1.0+1e-9 {
-			t.Fatalf("core %d overloaded: %v", c, uc)
+	u := make([]float64, p.M)
+	for c, core := range p.Cores(tasks) {
+		u[c] = rts.TotalRTUtilization(core)
+		if u[c] > 1.0+1e-9 {
+			t.Fatalf("core %d overloaded: %v", c, u[c])
 		}
 	}
 	if u[0] < 0.99 || u[1] < 0.99 {
@@ -130,7 +132,12 @@ func TestCoresAndLoads(t *testing.T) {
 	if len(cores[0]) != 1 || cores[0][0].Name != "a" || len(cores[1]) != 1 {
 		t.Fatalf("Cores = %+v", cores)
 	}
-	loads := p.Loads(tasks)
+	loads := make([]rts.CoreLoad, p.M)
+	for c, core := range cores {
+		for _, task := range core {
+			loads[c].AddRT(task)
+		}
+	}
 	if loads[0].SumC != 20 || loads[1].SumC != 30 {
 		t.Fatalf("Loads = %+v", loads)
 	}
@@ -205,5 +212,90 @@ func TestMoreCoresNeverHurtProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fullScanChooseCore is the reference ChooseCore must agree with: the fit
+// heuristics call admits on every core.
+func fullScanChooseCore(h Heuristic, m int, admits func(int) bool, util func(int) float64, cursor *int) int {
+	chosen := -1
+	switch h {
+	case FirstFit:
+		for c := 0; c < m; c++ {
+			if admits(c) {
+				return c
+			}
+		}
+	case BestFit:
+		bestU := -1.0
+		for c := 0; c < m; c++ {
+			if admits(c) && util(c) > bestU {
+				bestU, chosen = util(c), c
+			}
+		}
+	case WorstFit:
+		bestU := math.Inf(1)
+		for c := 0; c < m; c++ {
+			if admits(c) && util(c) < bestU {
+				bestU, chosen = util(c), c
+			}
+		}
+	case NextFit:
+		for tries := 0; tries < m; tries++ {
+			if c := (*cursor + tries) % m; admits(c) {
+				*cursor = c
+				return c
+			}
+		}
+	}
+	return chosen
+}
+
+// ChooseCore picks the core a full scan picks, trying each core at most
+// once, and tries every core before it returns -1. util vectors draw from a
+// small pool so ties are common, and include zeros, NaN and both
+// infinities.
+func TestChooseCoreMatchesFullScan(t *testing.T) {
+	pool := []float64{0, 0, 0.25, 0.5, 0.5, 1, 2, -1, -2, math.NaN(), math.Inf(1), math.Inf(-1)}
+	r := rand.New(rand.NewSource(16))
+	for i := 0; i < 20000; i++ {
+		m := 1 + r.Intn(8)
+		h := Heuristic(r.Intn(4))
+		utils := make([]float64, m)
+		admitted := make([]bool, m)
+		for c := range utils {
+			utils[c] = pool[r.Intn(len(pool))]
+			admitted[c] = r.Intn(3) > 0
+		}
+		util := func(c int) float64 { return utils[c] }
+		calls := make([]int, m)
+		admits := func(c int) bool { calls[c]++; return admitted[c] }
+		cursor := r.Intn(m)
+		wantCursor := cursor
+		want := fullScanChooseCore(h, m, func(c int) bool { return admitted[c] }, util, &wantCursor)
+		got, err := ChooseCore(h, m, admits, util, &cursor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || cursor != wantCursor {
+			t.Fatalf("%v utils=%v admits=%v: chose %d (cursor %d), full scan %d (cursor %d)",
+				h, utils, admitted, got, cursor, want, wantCursor)
+		}
+		for c, n := range calls {
+			if n > 1 || (got < 0 && n != 1) {
+				t.Fatalf("%v utils=%v admits=%v: core %d tried %d times (chose %d)", h, utils, admitted, c, n, got)
+			}
+		}
+		if got >= 0 && calls[got] != 1 {
+			t.Fatalf("%v utils=%v: chosen core %d was never tried", h, utils, got)
+		}
+	}
+	// Once core 0 is chosen, a core that cannot beat its load gets no trial.
+	for h, utils := range map[Heuristic][]float64{BestFit: {0.5, 0.2, 0.5}, WorstFit: {0.2, 0.5, 0.2}} {
+		calls := 0
+		admits := func(int) bool { calls++; return true }
+		if got, _ := ChooseCore(h, 3, admits, func(c int) float64 { return utils[c] }, new(int)); got != 0 || calls != 1 {
+			t.Fatalf("%v utils=%v: chose %d after %d trials, want core 0 after 1", h, utils, got, calls)
+		}
 	}
 }
