@@ -37,51 +37,11 @@ type Explanation struct {
 // ExplainHydra runs Algorithm 1 with the paper's best-tightness policy while
 // recording every per-core evaluation, so a designer can see *why* each task
 // landed where it did — and, for an unschedulable verdict, which core came
-// closest (the actionable hint the paper promises in Sec. III-B).
+// closest (the actionable hint the paper promises in Sec. III-B). Hydra's own
+// loop records the trace, so Result equals Hydra(in, HydraOptions{}).
 func ExplainHydra(in *Input) *Explanation {
 	ex := &Explanation{}
-	if err := in.Validate(); err != nil {
-		ex.Result = newInfeasible("hydra", err.Error())
-		return ex
-	}
-	loads := in.RTLoads()
-	assign := make([]int, len(in.Sec))
-	periods := make([]rts.Time, len(in.Sec))
-
-	for rank, i := range in.secOrder() {
-		s := in.Sec[i]
-		d := Decision{TaskIndex: i, TaskName: s.Name, Rank: rank, Chosen: -1}
-		bestScore := -1.0
-		var bestPeriod rts.Time
-		for c := 0; c < in.M; c++ {
-			cand := CandidateEval{
-				Core:      c,
-				MinPeriod: loads[c].MinFeasiblePeriod(s.C),
-				CoreUtil:  loads[c].SumU,
-			}
-			if ts, ok := PeriodAdaptation(s, loads[c]); ok {
-				cand.Feasible = true
-				cand.Period = ts
-				cand.Tightness = s.Tightness(ts)
-				if cand.Tightness > bestScore {
-					bestScore = cand.Tightness
-					bestPeriod = ts
-					d.Chosen = c
-				}
-			}
-			d.Candidates = append(d.Candidates, cand)
-		}
-		ex.Decisions = append(ex.Decisions, d)
-		if d.Chosen < 0 {
-			ex.Result = newInfeasible("hydra",
-				fmt.Sprintf("no feasible core for security task %q (C=%g, TDes=%g, TMax=%g)", s.Name, s.C, s.TDes, s.TMax))
-			return ex
-		}
-		assign[i] = d.Chosen
-		periods[i] = bestPeriod
-		loads[d.Chosen].AddPeriodic(s.C, bestPeriod)
-	}
-	ex.Result = finalize(in, "hydra", assign, periods)
+	ex.Result = hydra(in, HydraOptions{}, ex)
 	return ex
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"hydra/internal/rts"
 )
@@ -10,6 +9,9 @@ import (
 // ExtOptions configures HydraExt, which implements the extensions sketched
 // in the paper's Discussion (Sec. V) on top of Algorithm 1.
 type ExtOptions struct {
+	// HydraOptions picks the core policy and the period-adaptation route
+	// exactly as in Hydra; both run through HydraOptions.Place. No
+	// registered scheme sets UseGP here.
 	HydraOptions
 
 	// NonPreemptiveSecurity makes every security task execute its jobs
@@ -77,58 +79,38 @@ func HydraExt(in *Input, opt ExtOptions) *Result {
 		s := in.Sec[i]
 		// Blocking enters the analysis exactly like extra execution demand.
 		s.C += blocking[i]
-		minPeriod := s.TDes
-		cores := allCores(in.M)
+		cores, first := loads, 0
 		if p := chainPred[i]; p >= 0 {
 			if assign[p] < 0 {
 				return newInfeasible("hydra-ext", fmt.Sprintf("internal: predecessor of %q not yet allocated", s.Name))
 			}
-			cores = []int{assign[p]}
-			if periods[p] > minPeriod {
-				minPeriod = periods[p]
+			// The successor's only candidate is p's core, so scoring its
+			// raised TDes picks the core the original TDes would.
+			first = assign[p]
+			cores = loads[first : first+1]
+			if periods[p] > s.TDes {
+				s.TDes = periods[p]
 			}
 		}
-		if minPeriod > s.TMax {
+		if s.TDes > s.TMax {
 			return newInfeasible("hydra-ext",
-				fmt.Sprintf("task %q: chain-inherited period %g exceeds TMax %g", s.Name, minPeriod, s.TMax))
+				fmt.Sprintf("task %q: chain-inherited period %g exceeds TMax %g", s.Name, s.TDes, s.TMax))
 		}
-		adjusted := s
-		adjusted.TDes = minPeriod
-
-		// math.Inf(-1), not a finite floor: LeastLoaded's 1 - SumU score can
-		// go negative on a loaded core (see the same fix in Hydra).
-		bestCore, bestPeriod, bestScore := -1, rts.Time(0), math.Inf(-1)
-		for _, c := range cores {
-			ts, ok := PeriodAdaptation(adjusted, loads[c])
-			if !ok {
-				continue
-			}
-			// Score by tightness against the *original* desired period.
-			score := in.Sec[i].Tightness(ts)
-			switch opt.Policy {
-			case BestTightness:
-			case FirstFeasible:
-				score = float64(in.M - c)
-			case LeastLoaded:
-				score = 1 - loads[c].SumU
-			default:
-				return newInfeasible("hydra-ext", fmt.Sprintf("unknown policy %v", opt.Policy))
-			}
-			if score > bestScore {
-				bestScore, bestCore, bestPeriod = score, c, ts
-			}
+		c, ts, err := opt.Place(s, cores, nil)
+		if err != nil {
+			return newInfeasible("hydra-ext", err.Error())
 		}
-		if bestCore < 0 {
-			return newInfeasible("hydra-ext", fmt.Sprintf("no feasible core for security task %q", in.Sec[i].Name))
+		if c < 0 {
+			return newInfeasible("hydra-ext", fmt.Sprintf("no feasible core for security task %q", s.Name))
 		}
-		assign[i] = bestCore
-		periods[i] = bestPeriod
+		c += first
+		assign[i] = c
+		periods[i] = ts
 		// Commit the inflated demand (WCET + blocking is pessimistic for
 		// interference on later tasks but keeps the analysis one-sided).
-		loads[bestCore].AddPeriodic(s.C, bestPeriod)
+		loads[c].AddPeriodic(s.C, ts)
 	}
-	r := finalize(in, "hydra-ext", assign, periods)
-	return r
+	return finalize(in, "hydra-ext", assign, periods)
 }
 
 // extOrder derives the processing order: the usual priority order (ascending
@@ -185,13 +167,4 @@ func extOrder(in *Input, chains [][]int, sc *allocScratch) ([]int, []int, error)
 	}
 	sc.order = order
 	return order, chainPred, nil
-}
-
-// allCores returns [0, 1, ..., m-1].
-func allCores(m int) []int {
-	out := make([]int, m)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }

@@ -36,7 +36,6 @@ package online
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -158,7 +157,8 @@ type System struct {
 	events  []Event
 	maxEv   int
 	changed chan struct{}
-	onEvent func(Event) // registry counter sink; may be nil
+	onEvent func(Event)    // registry counter sink; may be nil
+	loads   []rts.CoreLoad // per-core folds, scratch of admitSecurityLocked
 
 	// reallocAfter is the auto-reallocate policy knob: after reallocAfter
 	// consecutive rejections the system runs Reallocate once and retries the
@@ -346,19 +346,6 @@ func (s *System) Heuristic() partition.Heuristic { return s.heuristic }
 // M returns the platform size.
 func (s *System) M() int { return s.m }
 
-// coreFold returns the committed Eq. 5 load fold of core c: the real-time
-// load (arrival order, maintained by AnalysisState) plus every committed
-// security task on c folded in commit order.
-func (s *System) coreFold(c int) rts.CoreLoad {
-	load := s.st.RTLoad(c)
-	for i := range s.sec {
-		if s.sec[i].Core == c {
-			load.AddPeriodic(s.sec[i].Task.C, s.sec[i].Period)
-		}
-	}
-	return load
-}
-
 // AddSecurity try-admits a security task on the committed state: the
 // scheme's period adaptation runs against every core's committed fold and
 // the task commits to the core its policy scores best, at analysis priority
@@ -377,63 +364,57 @@ func (s *System) AddSecurity(t rts.SecurityTask) (Placement, error) {
 	if _, dup := s.names[t.Name]; dup {
 		return Placement{}, fmt.Errorf("%w: %q", ErrDuplicateName, t.Name)
 	}
-	p, rej := s.admitSecurityLocked(t)
-	if rej == nil {
-		return p, nil
+	p, rej, err := s.admitSecurityLocked(t)
+	if err != nil || rej == nil {
+		return p, err
 	}
 	rej.Version = s.logEvent(Event{Type: EventReject, Task: t.Name, Kind: KindSecurity, Core: -1, Reason: rej.Error()})
-	if p, ok := s.autoReallocateLocked(func() *Rejection { var r *Rejection; p, r = s.admitSecurityLocked(t); return r }, &p); ok {
+	if p, ok := s.autoReallocateLocked(func() *Rejection { var r *Rejection; p, r, err = s.admitSecurityLocked(t); return r }, &p); ok && err == nil {
 		return p, nil
 	}
 	return Placement{}, rej
 }
 
 // admitSecurityLocked runs one security admission trial on the committed
-// state, committing and logging the admit on success. On failure it returns
-// an unlogged Rejection (the caller decides whether to log it — a retry
-// after an auto-reallocate must not double-log). Callers hold s.mu.
-func (s *System) admitSecurityLocked(t rts.SecurityTask) (Placement, *Rejection) {
-	adapt := core.PeriodAdaptation
-	if s.opts.UseGP {
-		adapt = core.PeriodAdaptationGP
-	}
-	bestCore, bestPeriod, bestScore := -1, rts.Time(0), math.Inf(-1)
-	verdicts := make([]CoreVerdict, 0, s.m)
+// state — Algorithm 1's per-task step, HydraOptions.Place, on the commit-order
+// load folds — committing and logging the admit on success. On failure it
+// returns an unlogged Rejection (the caller decides whether to log it — a
+// retry after an auto-reallocate must not double-log); the error return is
+// reserved for an unknown policy. Callers hold s.mu.
+func (s *System) admitSecurityLocked(t rts.SecurityTask) (Placement, *Rejection, error) {
+	// Fold each core's committed Eq. 5 load: the real-time load (arrival
+	// order, kept by AnalysisState), then every committed security task onto
+	// its core in commit order. One pass sums each core in the order a fold
+	// of that core alone would, so the floats are the same bits.
+	loads := s.loads[:0]
 	for c := 0; c < s.m; c++ {
-		fold := s.coreFold(c)
-		ts, ok := adapt(t, fold)
+		loads = append(loads, s.st.RTLoad(c))
+	}
+	for _, p := range s.sec {
+		loads[p.Core].AddPeriodic(p.Task.C, p.Period)
+	}
+	s.loads = loads
+	var verdicts []CoreVerdict
+	c, period, err := s.opts.Place(t, loads, func(c int, _ rts.Time, ok bool) {
 		if !ok {
 			verdicts = append(verdicts, CoreVerdict{Core: c, Reason: fmt.Sprintf(
 				"no feasible period in [%g, %g] against committed load (sum C %.4g ms, util %.4g)",
-				t.TDes, t.TMax, fold.SumC, fold.SumU)})
-			continue
+				t.TDes, t.TMax, loads[c].SumC, loads[c].SumU)})
 		}
-		var score float64
-		switch s.opts.Policy {
-		case core.BestTightness:
-			score = t.Tightness(ts)
-		case core.FirstFeasible:
-			score = float64(s.m - c)
-		case core.LeastLoaded:
-			score = 1 - fold.SumU
-		}
-		if score > bestScore {
-			bestScore, bestCore, bestPeriod = score, c, ts
-		}
-		if s.opts.Policy == core.FirstFeasible {
-			break
-		}
+	})
+	if err != nil {
+		return Placement{}, nil, fmt.Errorf("online: %w", err)
 	}
-	if bestCore < 0 {
-		return Placement{}, &Rejection{Task: t.Name, Kind: KindSecurity, Cores: verdicts}
+	if c < 0 {
+		return Placement{}, &Rejection{Task: t.Name, Kind: KindSecurity, Cores: verdicts}, nil
 	}
-	s.sec = append(s.sec, PlacedSec{Task: t, Core: bestCore, Period: bestPeriod})
-	s.st.CommitSecurity(bestCore, t.C, bestPeriod)
+	s.sec = append(s.sec, PlacedSec{Task: t, Core: c, Period: period})
+	s.st.CommitSecurity(c, t.C, period)
 	s.names[t.Name] = KindSecurity
 	s.rejects = 0
-	v := s.logEvent(Event{Type: EventAdmit, Task: t.Name, Kind: KindSecurity, Core: bestCore,
-		PeriodMS: bestPeriod, Tightness: t.Tightness(bestPeriod)})
-	return Placement{Core: bestCore, Period: bestPeriod, Tightness: t.Tightness(bestPeriod), Version: v}, nil
+	v := s.logEvent(Event{Type: EventAdmit, Task: t.Name, Kind: KindSecurity, Core: c,
+		PeriodMS: period, Tightness: t.Tightness(period)})
+	return Placement{Core: c, Period: period, Tightness: t.Tightness(period), Version: v}, nil, nil
 }
 
 // autoReallocateLocked implements the ReallocateAfter policy after a

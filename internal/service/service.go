@@ -51,7 +51,8 @@ type Config struct {
 	Workers int
 	// JobsDir is the experiment-campaign checkpoint directory. Interrupted
 	// campaigns found there are resumed on startup. Empty selects a fresh
-	// temporary directory (campaigns then do not survive the process).
+	// temporary directory, which Close removes (campaigns then do not survive
+	// the process).
 	JobsDir string
 	// MaxJobs bounds concurrently running experiment campaigns; queued
 	// submissions wait for a slot. Zero or negative selects 2.
@@ -62,7 +63,7 @@ type Config struct {
 	// SystemsDir is the persistence root for hosted systems: each lives as a
 	// manifest + write-ahead op log + periodic snapshot and is recovered on
 	// startup by log replay. Empty selects a fresh temporary directory
-	// (systems then do not survive the process).
+	// (systems then do not survive the process), which Close removes.
 	SystemsDir string
 	// SnapshotEvery is the op count between per-system snapshots (the replay
 	// bound on recovery). Zero or negative selects 64.
@@ -183,7 +184,8 @@ func (s *Server) SystemsDir() string { return s.systems.Dir() }
 // manager, which interrupts running campaigns between cells and waits for
 // their checkpoints to settle (they resume on the next start). Hosted
 // systems flush a final snapshot so the next start recovers them without
-// replay. Safe to call more than once.
+// replay. Temporary jobs and systems directories (empty JobsDir and
+// SystemsDir) are removed. Safe to call more than once.
 func (s *Server) Close() {
 	s.cancel()
 	s.jobs.Close()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,25 @@ import (
 // createSystemBody wraps the shared sample taskset into a create request.
 func createSystemBody(id string) string {
 	return fmt.Sprintf(`{"id": %q, "scheme": "hydra", "taskset": %s}`, id, sampleTaskset)
+}
+
+// TestServerCloseRemovesEphemeralDirs pins that a server configured without
+// JobsDir and SystemsDir leaves neither temporary directory behind.
+func TestServerCloseRemovesEphemeralDirs(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := post(t, s, "/v1/systems", createSystemBody("uav")); w.Code != http.StatusCreated {
+		t.Fatalf("create: %d %s", w.Code, w.Body)
+	}
+	dirs := []string{s.JobsDir(), s.SystemsDir()}
+	s.Close()
+	for _, dir := range dirs {
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("%s survives Close (stat err %v)", dir, err)
+		}
+	}
 }
 
 func TestSystemLifecycleOverHTTP(t *testing.T) {

@@ -53,8 +53,8 @@ const homeDir = "shard-0"
 // Options tunes a Registry.
 type Options struct {
 	// Dir is the persistence root; systems live in its shard-0 subdirectory.
-	// Empty selects a fresh temporary directory (systems then do not survive
-	// the process — the ephemeral mode the pre-durability registry offered).
+	// Empty selects a fresh temporary directory, which Close removes (systems
+	// then do not survive the process); Close never removes a caller's Dir.
 	Dir string
 	// MaxSystems bounds the live systems, exactly. Zero or negative selects
 	// 64.
@@ -74,12 +74,13 @@ type Options struct {
 // Registry hosts the durable systems of one server process. Create with
 // Open, which also recovers every system found under the directory.
 type Registry struct {
-	dir   string
-	home  string // dir/shard-0, the parent of every system directory
-	fsync bool
-	obs   Observer
-	every int
-	max   int
+	dir       string
+	home      string // dir/shard-0, the parent of every system directory
+	ephemeral bool   // dir was created by Open; Close removes it
+	fsync     bool
+	obs       Observer
+	every     int
+	max       int
 
 	mu sync.Mutex
 	// systems maps ids to live systems. A nil value reserves an id while its
@@ -93,8 +94,8 @@ type Registry struct {
 // shard-<k> directory are moved into shard-0 before recovery, and the
 // emptied shard-<k> directories are removed.
 func Open(opts Options) (*Registry, error) {
-	dir := opts.Dir
-	if dir == "" {
+	dir, ephemeral := opts.Dir, opts.Dir == ""
+	if ephemeral {
 		tmp, err := os.MkdirTemp("", "hydra-systems-*")
 		if err != nil {
 			return nil, err
@@ -110,13 +111,14 @@ func Open(opts Options) (*Registry, error) {
 		every = 64
 	}
 	r := &Registry{
-		dir:     dir,
-		home:    filepath.Join(dir, homeDir),
-		fsync:   opts.Fsync,
-		obs:     opts.Observer,
-		every:   every,
-		max:     max,
-		systems: map[string]*DurableSystem{},
+		dir:       dir,
+		home:      filepath.Join(dir, homeDir),
+		ephemeral: ephemeral,
+		fsync:     opts.Fsync,
+		obs:       opts.Observer,
+		every:     every,
+		max:       max,
+		systems:   map[string]*DurableSystem{},
 	}
 	if err := os.MkdirAll(r.home, 0o755); err != nil {
 		return nil, err
@@ -372,11 +374,14 @@ func (r *Registry) Rebalance(id string) (*DurableSystem, error) {
 }
 
 // Close flushes a final snapshot for every system (so the next recovery
-// replays nothing) and closes the op logs. The registry must not be used
-// afterwards.
+// replays nothing), closes the op logs, and removes the directory if Open
+// created it. The registry must not be used afterwards.
 func (r *Registry) Close() {
 	for _, ds := range r.List() {
 		_ = ds.Flush()
 		_ = ds.close()
+	}
+	if r.ephemeral {
+		_ = os.RemoveAll(r.dir)
 	}
 }

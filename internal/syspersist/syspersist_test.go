@@ -628,3 +628,34 @@ func TestAutoReallocatePolicyPersists(t *testing.T) {
 		t.Fatal("auto-reallocate decisions did not replay identically")
 	}
 }
+
+// TestEphemeralDirRemovedOnClose pins the ownership rule of the persistence
+// root: a directory Open created for an empty Dir is removed by Close, and a
+// caller-supplied one survives it with its systems.
+func TestEphemeralDirRemovedOnClose(t *testing.T) {
+	w := testWorkload(t, 2, 0.5, 1)
+	r := openRegistry(t, "", 8)
+	dir := r.Dir()
+	if _, err := os.Stat(dir); err != nil {
+		t.Fatalf("ephemeral dir missing while open: %v", err)
+	}
+	if _, err := r.Create("eph", "hydra", partition.BestFit, 2, w.RT, nil, w.Sec, 0); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("ephemeral dir %s survives Close (stat err %v)", dir, err)
+	}
+
+	kept := t.TempDir()
+	r = openRegistry(t, kept, 8)
+	if _, err := r.Create("kept", "hydra", partition.BestFit, 2, w.RT, nil, w.Sec, 0); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	r = openRegistry(t, kept, 8)
+	defer r.Close()
+	if _, ok := r.Get("kept"); !ok {
+		t.Fatal("caller-supplied dir lost its system on Close")
+	}
+}
