@@ -13,7 +13,7 @@
 // A campaign lives in one directory with at most three files:
 //
 //	campaign.json   The campaign manifest, rewritten atomically
-//	                (temp file + rename) on every state change:
+//	                (filelog.WriteFile) on every state change:
 //
 //	                  {
 //	                    "spec":   "fig2",          // experiments registry name
@@ -41,6 +41,10 @@
 //	                completes. Its bytes are the contract: resumed and
 //	                uninterrupted runs of the same campaign produce
 //	                identical files.
+//
+// Like internal/syspersist, the store reads its log with filelog.Replay and
+// writes its documents with filelog.WriteFile, without fsync: its files
+// survive a killed process, not a kernel crash.
 package jobs
 
 import (
@@ -54,6 +58,7 @@ import (
 	"sync"
 
 	"hydra/internal/experiments"
+	"hydra/internal/filelog"
 	"hydra/internal/stats"
 )
 
@@ -331,7 +336,7 @@ func (c *Campaign) Run(ctx context.Context, progress func(Progress)) ([]byte, er
 		return nil, err
 	}
 	body = append(body, '\n')
-	if err := writeFileAtomic(filepath.Join(c.dir, resultFile), body); err != nil {
+	if err := filelog.WriteFile(filepath.Join(c.dir, resultFile), body, false); err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
@@ -376,24 +381,5 @@ func (c *Campaign) writeMetaLocked() error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(filepath.Join(c.dir, metaFile), append(body, '\n'))
-}
-
-// writeFileAtomic writes via a temp file + rename so a kill mid-write never
-// leaves a half-written manifest or result.
-func writeFileAtomic(path string, body []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(body); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return filelog.WriteFile(filepath.Join(c.dir, metaFile), append(body, '\n'), false)
 }

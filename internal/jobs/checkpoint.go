@@ -1,11 +1,10 @@
 package jobs
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
+
+	"hydra/internal/filelog"
 )
 
 // checkpointLine is one cells.jsonl record: a completed grid cell and its
@@ -15,39 +14,21 @@ type checkpointLine struct {
 	Result json.RawMessage `json:"result"`
 }
 
-// loadCheckpoint replays a cells.jsonl log into an idx -> result map. The
-// log is append-only and may end in a truncated line when the writing
-// process was killed mid-append; everything from the first malformed line on
-// is discarded and truncated away so future appends keep the file
-// well-formed. A missing log is an empty checkpoint.
+// loadCheckpoint replays a cells.jsonl log into an idx -> result map,
+// cutting the log back at the first malformed or torn line (a cell whose
+// append a kill cut short is recomputed). A missing log is empty.
 func loadCheckpoint(path string) (map[int][]byte, error) {
 	done := map[int][]byte{}
-	raw, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return done, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("jobs: read checkpoint: %w", err)
-	}
-	valid := 0 // byte length of the well-formed prefix
-	for off := 0; off < len(raw); {
-		nl := bytes.IndexByte(raw[off:], '\n')
-		if nl < 0 {
-			break // truncated final line
-		}
-		line := raw[off : off+nl]
+	err := filelog.Replay(path, func(line []byte) bool {
 		var rec checkpointLine
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Idx < 0 || len(rec.Result) == 0 {
-			break // corrupt from here on; drop the tail
+		if json.Unmarshal(line, &rec) != nil || rec.Idx < 0 || len(rec.Result) == 0 {
+			return false
 		}
-		done[rec.Idx] = append([]byte(nil), rec.Result...)
-		off += nl + 1
-		valid = off
-	}
-	if valid < len(raw) {
-		if err := os.Truncate(path, int64(valid)); err != nil {
-			return nil, fmt.Errorf("jobs: trim torn checkpoint tail: %w", err)
-		}
+		done[rec.Idx] = rec.Result // Unmarshal copied it out of line
+		return true
+	})
+	if err != nil {
+		return nil, fmt.Errorf("jobs: replay checkpoint: %w", err)
 	}
 	return done, nil
 }

@@ -104,6 +104,34 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from one read of the
+// buckets, as Prometheus' histogram_quantile does: the rank q·n (n = the
+// bucket total) falls in the first non-empty bucket whose cumulative count
+// reaches it, and is interpolated linearly across that bucket, from 0 below
+// the first bound. A rank in +Inf reports the largest finite bound, and an
+// empty histogram 0. Quantile(1) is the upper edge of the highest occupied
+// bucket.
+func (h *Histogram) Quantile(q float64) float64 {
+	buckets := h.snapshot().Buckets
+	var n uint64
+	for _, c := range buckets {
+		n += c
+	}
+	if n == 0 {
+		return 0
+	}
+	rank, cum, lo := q*float64(n), uint64(0), 0.0
+	for i, hi := range h.bounds {
+		cum += buckets[i]
+		if cum > 0 && float64(cum) >= rank {
+			// Measured down from hi, so a rank on the top edge is hi exactly.
+			return hi - (hi-lo)*(float64(cum)-rank)/float64(buckets[i])
+		}
+		lo = hi
+	}
+	return lo
+}
+
 // snapshot reads the buckets (non-cumulative), sum and count. Concurrent
 // observers may skew count vs buckets by in-flight updates; Prometheus
 // scrape semantics tolerate that.

@@ -200,3 +200,34 @@ func TestRuntimeMetricsRegister(t *testing.T) {
 		t.Errorf("hydra_go_heap_objects_bytes = %g, want > 0", series["hydra_go_heap_objects_bytes"])
 	}
 }
+
+// TestHistogramQuantile pins Quantile to histogram_quantile's answers on
+// bounds {1, 2, 4, 8}, exactly: ranks interpolate linearly from 0 below the
+// first bound, skip empty buckets, land on bucket edges without rounding, and
+// a rank in +Inf reports the largest finite bound.
+func TestHistogramQuantile(t *testing.T) {
+	cases := []struct {
+		name    string
+		samples []float64
+		q       []float64
+		want    []float64
+	}{
+		{"empty", nil, []float64{0.5, 1}, []float64{0, 0}},
+		{"single bucket", []float64{0.5, 0.5, 0.5, 0.5}, []float64{0.25, 0.5, 1}, []float64{0.25, 0.5, 1}},
+		{"rank on a bucket edge", []float64{0.5, 0.5, 1.5, 1.5}, []float64{0.5, 0.75, 1}, []float64{1, 1.5, 2}},
+		{"empty middle buckets", []float64{0.5, 6}, []float64{0.5, 0.75, 1}, []float64{1, 6, 8}},
+		{"rank in +Inf", []float64{0.5, 100}, []float64{0.5, 0.9, 1}, []float64{1, 8, 8}},
+		{"q = 0 is the lowest occupied bucket's lower edge", []float64{3}, []float64{0, 1}, []float64{2, 4}},
+	}
+	for _, c := range cases {
+		h := NewRegistry().Histogram("test_q", "", "Q.", []float64{1, 2, 4, 8})
+		for _, v := range c.samples {
+			h.Observe(v)
+		}
+		for i, q := range c.q {
+			if got := h.Quantile(q); got != c.want[i] {
+				t.Errorf("%s: Quantile(%g) = %g, want %g", c.name, q, got, c.want[i])
+			}
+		}
+	}
+}

@@ -634,6 +634,18 @@ func (s *System) cumulativeLocked() float64 {
 	return sum
 }
 
+// WeightSum returns Σ ω over the committed security tasks, the bound on the
+// cumulative tightness Σ ω·η (η ≤ 1).
+func (s *System) WeightSum() float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var sum float64
+	for i := range s.sec {
+		sum += s.sec[i].Task.EffectiveWeight()
+	}
+	return sum
+}
+
 // Snapshot is a point-in-time copy of a system's committed state.
 type Snapshot struct {
 	ID        string

@@ -33,8 +33,8 @@ type serverObs struct {
 
 	inflight *obs.Gauge
 
-	// Allocate-outcome latency histograms, observed on the same events as
-	// the /v1/stats window recorders (so the two surfaces agree on counts).
+	// Allocate-outcome latency histograms, behind both /metrics and the
+	// allocate_latency of /v1/stats.
 	allocCold      *obs.Histogram
 	allocHit       *obs.Histogram
 	allocCoalesced *obs.Histogram

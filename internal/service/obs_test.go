@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -86,8 +87,9 @@ func TestMetricsGolden(t *testing.T) {
 }
 
 // TestMetricsStatsAgree asserts the exposition is a lossless superset of
-// /v1/stats: every count the JSON stats report must be recoverable from the
-// scrape, so dashboards built on either surface agree.
+// /v1/stats: every count the JSON stats report, and every allocate latency
+// figure, must be recoverable from the scrape, so dashboards built on either
+// surface agree.
 func TestMetricsStatsAgree(t *testing.T) {
 	s := newServer(t)
 
@@ -148,6 +150,59 @@ func TestMetricsStatsAgree(t *testing.T) {
 	if sampled := stats.Allocate.Cold.Count + stats.Allocate.Hit.Count; sampled != 3 {
 		t.Errorf("stats allocate counts sum to %d, want 3", sampled)
 	}
+	for _, c := range []struct {
+		outcome string
+		got     LatencyStats
+	}{
+		{"cold", stats.Allocate.Cold},
+		{"hit", stats.Allocate.Hit},
+		{"coalesced", stats.Allocate.Coalesced},
+	} {
+		if want := scrapedLatency(series, c.outcome); c.got != want {
+			t.Errorf("/v1/stats %s latency %+v, the scraped buckets give %+v", c.outcome, c.got, want)
+		}
+	}
+}
+
+// scrapedLatency derives one allocate outcome's LatencyStats from its
+// scraped hydra_allocate_seconds series alone: count and mean from _count
+// and _sum, each quantile by histogram_quantile over the cumulative _bucket
+// series (interpolated down from the bucket's upper edge), and max as the
+// upper edge of the highest bucket holding a sample.
+func scrapedLatency(series map[string]float64, outcome string) LatencyStats {
+	label := `outcome="` + outcome + `"`
+	n := series[`hydra_allocate_seconds_count{`+label+`}`]
+	out := LatencyStats{Count: uint64(n)}
+	if n == 0 {
+		return out
+	}
+	bounds := obs.DefLatencyBuckets
+	cum := make([]float64, len(bounds)+1) // cum[i+1]: samples at most bounds[i]
+	for i, b := range bounds {
+		cum[i+1] = series[`hydra_allocate_seconds_bucket{`+label+`,le="`+strconv.FormatFloat(b, 'g', -1, 64)+`"}`]
+		if cum[i+1] > cum[i] {
+			out.MaxMS = 1e3 * b
+		}
+	}
+	if n > cum[len(bounds)] { // a sample in +Inf reports the largest finite bound
+		out.MaxMS = 1e3 * bounds[len(bounds)-1]
+	}
+	quantile := func(q float64) float64 {
+		rank := q * n
+		for i, b := range bounds {
+			if c := cum[i+1]; c > 0 && c >= rank {
+				lo := 0.0
+				if i > 0 {
+					lo = bounds[i-1]
+				}
+				return 1e3 * (b - (b-lo)*(c-rank)/(c-cum[i]))
+			}
+		}
+		return 1e3 * bounds[len(bounds)-1]
+	}
+	out.MeanMS = 1e3 * series[`hydra_allocate_seconds_sum{`+label+`}`] / n
+	out.P50MS, out.P90MS, out.P99MS = quantile(0.5), quantile(0.9), quantile(0.99)
+	return out
 }
 
 // postWithHeader is post with one extra request header.

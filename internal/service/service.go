@@ -90,17 +90,14 @@ type Config struct {
 // http.Handler factory (Handler) plus a Close that cancels in-flight batch
 // runs, which the hydra-serve binary ties to SIGINT.
 type Server struct {
-	cfg       Config
-	cache     *Cache
-	jobs      *jobs.Manager
-	systems   *syspersist.Registry
-	obs       *serverObs      // metrics registry, tracer, structured logger
-	cold      latencyRecorder // allocate latency when the allocation actually ran
-	hot       latencyRecorder // allocate latency when served from cache
-	coalesced latencyRecorder // allocate latency when waiting on an identical in-flight run
-	mux       *http.ServeMux
-	ctx       context.Context
-	cancel    context.CancelFunc
+	cfg     Config
+	cache   *Cache
+	jobs    *jobs.Manager
+	systems *syspersist.Registry
+	obs     *serverObs // metrics registry, tracer, structured logger
+	mux     *http.ServeMux
+	ctx     context.Context
+	cancel  context.CancelFunc
 }
 
 // New builds a Server with the given configuration. It opens the jobs
@@ -284,6 +281,30 @@ type SchemesResponse struct {
 	Schemes []string `json:"schemes"`
 }
 
+// LatencyStats summarizes one request-latency series in milliseconds, read
+// off the series' /metrics histogram over the server's lifetime. Count and
+// mean are exact; the quantiles are histogram_quantile's bucket
+// interpolations, and max is the upper edge of the highest occupied bucket.
+type LatencyStats struct {
+	Count  uint64  `json:"count"`
+	MeanMS float64 `json:"mean_ms"`
+	P50MS  float64 `json:"p50_ms"`
+	P90MS  float64 `json:"p90_ms"`
+	P99MS  float64 `json:"p99_ms"`
+	MaxMS  float64 `json:"max_ms"`
+}
+
+// latencyStats reads one allocate-outcome histogram, kept in seconds.
+func latencyStats(h *obs.Histogram) LatencyStats {
+	n := h.Count()
+	if n == 0 {
+		return LatencyStats{}
+	}
+	ms := func(q float64) float64 { return 1e3 * h.Quantile(q) }
+	return LatencyStats{Count: n, MeanMS: 1e3 * h.Sum() / float64(n),
+		P50MS: ms(0.5), P90MS: ms(0.9), P99MS: ms(0.99), MaxMS: ms(1)}
+}
+
 // AllocateLatency splits allocate latencies by cache outcome. Coalesced
 // requests waited on another request's computation, so their latencies are
 // cold-scale — keeping them out of Hit preserves the cold-vs-hit comparison.
@@ -438,11 +459,10 @@ func resolveResultsVersion(v int) (stats.RNGVersion, error) {
 }
 
 // allocate serves one allocation problem through the canonical-hash cache,
-// recording latency under the cold or hit series (both the /v1/stats window
-// recorders and the /metrics histograms — same events, so the two surfaces
-// agree on counts). tr may be nil (the unsampled case); span recording then
-// costs nothing. The returned body is the exact bytes every identical
-// request receives.
+// recording its latency once, in the /metrics histogram of its cache outcome
+// (which /v1/stats reads too). tr may be nil (the unsampled case); span
+// recording then costs nothing. The returned body is the exact bytes every
+// identical request receives.
 func (s *Server) allocate(tr *obs.Trace, doc *tasksetio.Document, schemeName, heuristicName string, resultsVersion int) ([]byte, bool, int, error) {
 	alloc, err := resolveScheme(schemeName)
 	if err != nil {
@@ -475,13 +495,10 @@ func (s *Server) allocate(tr *obs.Trace, doc *tasksetio.Document, schemeName, he
 	sp.End()
 	switch outcome {
 	case OutcomeHit:
-		s.hot.add(d)
 		s.obs.allocHit.ObserveDuration(d)
 	case OutcomeCoalesced:
-		s.coalesced.add(d)
 		s.obs.allocCoalesced.ObserveDuration(d)
 	default:
-		s.cold.add(d)
 		s.obs.allocCold.ObserveDuration(d)
 	}
 	hit := outcome.FromMemory()
@@ -720,9 +737,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, StatsResponse{
 		Cache: s.cache.Stats(),
 		Allocate: AllocateLatency{
-			Cold:      s.cold.snapshot(),
-			Hit:       s.hot.snapshot(),
-			Coalesced: s.coalesced.snapshot(),
+			Cold:      latencyStats(s.obs.allocCold),
+			Hit:       latencyStats(s.obs.allocHit),
+			Coalesced: latencyStats(s.obs.allocCoalesced),
 		},
 		Jobs:    s.jobs.Counters(),
 		Systems: s.systems.Counters(),

@@ -8,6 +8,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"hydra/internal/online"
@@ -268,39 +271,76 @@ func TestSystemRoutesMatchEncodingJSON(t *testing.T) {
 	}
 }
 
-// TestSystemNonFiniteCumulativeIs500 pins the answer for a committed system
-// whose cumulative tightness overflows: two security tasks of weight 1e308
-// at tightness 1 sum to +Inf. Create, GET and the list each answer the 500
+// TestSystemNonFiniteCumulativeIs500 pins the answers around a cumulative
+// tightness that overflows: two security tasks of weight 1e308 at tightness
+// 1 sum to +Inf. Every route that reads a taskset refuses it with a 400, and
+// so does an admit that would take a system's weights past that sum. A
+// system committed with such a sum anyway — a directory written before
+// these checks — still opens, and its GET and the list answer the 500
 // writeJSON gives for a value encoding/json refuses, never a 200 carrying
-// +Inf or NaN. The system stays committed, so the list fails for every
-// system (ROADMAP item 3 records the defect).
+// +Inf or NaN.
 func TestSystemNonFiniteCumulativeIs500(t *testing.T) {
+	const (
+		rt    = `[{"name": "ctl", "wcet_ms": 5, "period_ms": 20}]`
+		heavy = `{"name": "a", "wcet_ms": 1, "desired_period_ms": 1000, "max_period_ms": 10000, "weight": 1e308}`
+		twin  = `{"name": "b", "wcet_ms": 1, "desired_period_ms": 1000, "max_period_ms": 10000, "weight": 1e308}`
+	)
+	overflow := `{"cores": 2, "rt_tasks": ` + rt + `, "security_tasks": [` + heavy + `, ` + twin + `]}`
 	s := newServer(t)
-	if w := post(t, s, "/v1/systems", createSystemBody("fine")); w.Code != http.StatusCreated {
-		t.Fatalf("create fine: %d %s", w.Code, w.Body)
+	if w := post(t, s, "/v1/systems", `{"id": "heavy", "taskset": {"cores": 2, "rt_tasks": `+rt+`, "security_tasks": [`+heavy+`]}}`); w.Code != http.StatusCreated {
+		t.Fatalf("create heavy: %d %s", w.Code, w.Body)
 	}
-	const want = `{"error":"encode response"}` + "\n"
-	overflow := `{"id": "overflow", "taskset": {
-	  "cores": 2,
-	  "rt_tasks": [{"name": "ctl", "wcet_ms": 5, "period_ms": 20}],
-	  "security_tasks": [
-	    {"name": "a", "wcet_ms": 1, "desired_period_ms": 1000, "max_period_ms": 10000, "weight": 1e308},
-	    {"name": "b", "wcet_ms": 1, "desired_period_ms": 1000, "max_period_ms": 10000, "weight": 1e308}
-	  ]
-	}}`
 	for _, c := range []struct {
 		what string
 		w    *httptest.ResponseRecorder
 	}{
-		{"create", post(t, s, "/v1/systems", overflow)},
-		{"get", get(t, s, "/v1/systems/overflow")},
-		{"list", get(t, s, "/v1/systems")},
+		{"create", post(t, s, "/v1/systems", `{"id": "overflow", "taskset": `+overflow+`}`)},
+		{"allocate", post(t, s, "/v1/allocate", allocateBody(overflow, ""))},
+		{"batch", post(t, s, "/v1/allocate/batch", `{"tasksets": [`+overflow+`]}`)},
+		{"simulate", post(t, s, "/v1/simulate", allocateBody(overflow, `"horizon_ms": 100`))},
+		{"verify", post(t, s, "/v1/verify", `{"taskset": `+overflow+`, "result": {}}`)},
+		{"admit", post(t, s, "/v1/systems/heavy/tasks", `{"security_task": `+twin+`}`)},
+	} {
+		if c.w.Code != http.StatusBadRequest || !strings.Contains(c.w.Body.String(), "must be finite") {
+			t.Errorf("%s: %d %s, want 400 naming the non-finite weight sum", c.what, c.w.Code, c.w.Body)
+		}
+	}
+	if ds, _ := s.systems.Get("heavy"); ds.Version() != 1 || len(ds.Snapshot().Sec) != 1 {
+		t.Fatalf("the refused admit changed heavy: version %d, %d security tasks", ds.Version(), len(ds.Snapshot().Sec))
+	}
+
+	dir := t.TempDir()
+	sysDir := filepath.Join(dir, "shard-0", "overflow")
+	if err := os.MkdirAll(sysDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	manifest := `{"id":"overflow","scheme":"hydra","heuristic":"best-fit","cores":2,"rt_tasks":` + rt + `,"security_tasks":[` + heavy + `,` + twin + `]}`
+	for name, data := range map[string]string{"system.json": manifest + "\n", "events.jsonl": ""} {
+		if err := os.WriteFile(filepath.Join(sysDir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2, err := New(Config{SystemsDir: dir})
+	if err != nil {
+		t.Fatalf("a directory holding an overflowing system must still open: %v", err)
+	}
+	t.Cleanup(s2.Close)
+	if w := post(t, s2, "/v1/systems", createSystemBody("fine")); w.Code != http.StatusCreated {
+		t.Fatalf("create fine: %d %s", w.Code, w.Body)
+	}
+	const want = `{"error":"encode response"}` + "\n"
+	for _, c := range []struct {
+		what string
+		w    *httptest.ResponseRecorder
+	}{
+		{"get", get(t, s2, "/v1/systems/overflow")},
+		{"list", get(t, s2, "/v1/systems")},
 	} {
 		if c.w.Code != http.StatusInternalServerError || c.w.Body.String() != want {
 			t.Fatalf("%s: %d %q, want 500 %q", c.what, c.w.Code, c.w.Body.String(), want)
 		}
 	}
-	if w := get(t, s, "/v1/systems/fine"); w.Code != http.StatusOK {
+	if w := get(t, s2, "/v1/systems/fine"); w.Code != http.StatusOK {
 		t.Fatalf("GET of the finite system: %d %s", w.Code, w.Body)
 	}
 }

@@ -9,3 +9,6 @@ func (r *Registry) Crash() {
 		_ = ds.close()
 	}
 }
+
+// Close closes a system recovered outside a registry, for tests.
+func (d *DurableSystem) Close() error { return d.close() }

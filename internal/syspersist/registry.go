@@ -63,8 +63,10 @@ type Options struct {
 	// negative selects 64.
 	SnapshotEvery int
 	// Fsync forces every op-log append to stable storage before the mutation
-	// is acknowledged. Off by default: the admit path stays in the page
-	// cache, and a kernel crash (not a process crash) can lose the tail.
+	// is acknowledged, and every manifest, snapshot and new directory entry
+	// before the write that made it returns. Off by default: the admit path
+	// stays in the page cache, and a kernel crash (not a process crash) can
+	// lose the tail.
 	Fsync bool
 	// Observer, when non-nil, receives append/fsync/snapshot latencies from
 	// every system's store. Nil keeps the persistence paths clock-free.
@@ -84,7 +86,7 @@ type Registry struct {
 
 	mu sync.Mutex
 	// systems maps ids to live systems. A nil value reserves an id while its
-	// system is being created or rebuilt; reservations count toward max.
+	// system is being created; reservations count toward max.
 	systems map[string]*DurableSystem
 	n       Counters // Active is derived from systems on read
 }
@@ -334,43 +336,6 @@ func (r *Registry) Counters() Counters {
 		}
 	}
 	return c
-}
-
-// Rebalance rebuilds a system by the failover recipe: close its store and
-// replay its log into a fresh instance — the exact path a handoff to another
-// process would take, so the rebuilt system is decision-identical to the one
-// it replaces. The previous *DurableSystem turns inert (mutations return
-// ErrClosed); clients re-resolve the id. The tests use it to pin replay
-// byte-identity.
-func (r *Registry) Rebalance(id string) (*DurableSystem, error) {
-	r.mu.Lock()
-	ds := r.systems[id]
-	if ds == nil {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("syspersist: no such system %q", id)
-	}
-	// Keep the id reserved (nil) so a concurrent Create cannot take it while
-	// the system is offline for replay.
-	r.systems[id] = nil
-	r.mu.Unlock()
-
-	reinstate := func(v *DurableSystem) {
-		r.mu.Lock()
-		r.systems[id] = v
-		r.mu.Unlock()
-	}
-	if err := ds.close(); err != nil {
-		reinstate(ds)
-		return nil, err
-	}
-	fresh, err := Recover(ds.Dir(), r.every, r.fsync, r.obs)
-	if err != nil {
-		reinstate(ds)
-		return nil, err
-	}
-	fresh.sys.SetEventSink(r.countEvent)
-	reinstate(fresh)
-	return fresh, nil
 }
 
 // Close flushes a final snapshot for every system (so the next recovery

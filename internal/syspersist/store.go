@@ -13,19 +13,18 @@
 // the system from the manifest (or restore the snapshot, when one covers a
 // log prefix) and re-apply the op tail through the same public methods a
 // client would call. The recovered rts.AnalysisState, decision outcomes and
-// event-log versions are bit-identical to the never-restarted process's. A
-// torn final log line — the writing process died mid-append — is truncated
-// away, like the jobs checkpoint reader; the op it carried was never
-// acknowledged, so dropping it is correct.
+// event-log versions are bit-identical to the never-restarted process's. The
+// log is read by filelog.Replay, the reader the jobs checkpoint uses too: a
+// torn final line — the writing process died mid-append — is truncated away;
+// the op it carried was never acknowledged, so dropping it is correct. The
+// manifest and snapshots are written by filelog.WriteFile.
 //
 // On top of the per-system store, Registry hosts every system of a process
 // under one lock and one directory, <root>/shard-0/<id>, with exact
-// live-system accounting and a rebalance path that rebuilds a system by
-// closing its store and replaying its log.
+// live-system accounting.
 package syspersist
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -33,6 +32,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"hydra/internal/filelog"
 	"hydra/internal/online"
 	"hydra/internal/rts"
 	"hydra/internal/tasksetio"
@@ -187,37 +187,13 @@ func (st *Store) Dir() string { return st.dir }
 // Seq returns the last appended record's sequence number.
 func (st *Store) Seq() uint64 { return st.seq }
 
-// writeFileAtomic writes data via a temp file + rename so readers (and
-// crash recovery) see either the old or the new content, never a torn write.
-func writeFileAtomic(path string, data []byte, fsync bool) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if fsync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
 // CreateStore initializes a fresh system directory: it writes the manifest
-// atomically and opens an empty op log. The directory must not already hold a
-// system (a half-created leftover is fine — it is overwritten). obs, when
-// non-nil, receives append/fsync/snapshot timings.
+// atomically and then opens an empty op log, so a log never exists without
+// its manifest. The directory must not already hold a system (a
+// half-created leftover is fine — it is overwritten). With fsync, the new
+// directory entries — the log in dir, and dir in its parent — are on stable
+// storage before CreateStore returns. obs, when non-nil, receives
+// append/fsync/snapshot timings.
 func CreateStore(dir string, man Manifest, fsync bool, obs Observer) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -226,12 +202,18 @@ func CreateStore(dir string, man Manifest, fsync bool, obs Observer) (*Store, er
 	if err != nil {
 		return nil, err
 	}
-	if err := writeFileAtomic(filepath.Join(dir, manifestName), append(data, '\n'), fsync); err != nil {
+	if err := filelog.WriteFile(filepath.Join(dir, manifestName), append(data, '\n'), fsync); err != nil {
 		return nil, err
 	}
 	log, err := os.OpenFile(filepath.Join(dir, logName), os.O_CREATE|os.O_WRONLY|os.O_TRUNC|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
+	}
+	if fsync {
+		if err := errors.Join(filelog.SyncDir(dir), filelog.SyncDir(filepath.Dir(dir))); err != nil {
+			log.Close()
+			return nil, err
+		}
 	}
 	return &Store{dir: dir, fsync: fsync, obs: obs, log: log}, nil
 }
@@ -292,7 +274,7 @@ func (st *Store) WriteSnapshot(ps online.PersistedState, seq uint64) error {
 	if st.obs != nil {
 		t0 = time.Now()
 	}
-	err := writeFileAtomic(filepath.Join(st.dir, snapshotName), data, st.fsync)
+	err := filelog.WriteFile(filepath.Join(st.dir, snapshotName), data, st.fsync)
 	if st.obs != nil && err == nil {
 		st.obs.ObserveSnapshot(time.Since(t0))
 	}
@@ -330,41 +312,21 @@ func readSnapshot(dir string) *SnapshotFile {
 	return &sn
 }
 
-// readLog replays events.jsonl into records. The log is append-only and may
-// end in a torn line when the writing process was killed mid-append;
-// everything from the first malformed, truncated, or out-of-sequence line on
-// is discarded and truncated away so future appends keep the file well-formed
-// (the op a torn line carried was never acknowledged). A missing log is
-// empty.
+// readLog replays events.jsonl into records, cutting the log back at the
+// first malformed, torn or out-of-sequence line: the op a torn line carried
+// was never acknowledged. A missing log is empty.
 func readLog(dir string) ([]Record, error) {
-	path := filepath.Join(dir, logName)
-	raw, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("syspersist: read op log: %w", err)
-	}
 	var recs []Record
-	valid := 0 // byte length of the well-formed prefix
-	for off := 0; off < len(raw); {
-		nl := bytes.IndexByte(raw[off:], '\n')
-		if nl < 0 {
-			break // truncated final line
-		}
-		line := raw[off : off+nl]
+	err := filelog.Replay(filepath.Join(dir, logName), func(line []byte) bool {
 		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Seq != uint64(len(recs))+1 {
-			break // corrupt from here on; drop the tail
+		if json.Unmarshal(line, &rec) != nil || rec.Seq != uint64(len(recs))+1 {
+			return false
 		}
 		recs = append(recs, rec)
-		off += nl + 1
-		valid = off
-	}
-	if valid < len(raw) {
-		if err := os.Truncate(path, int64(valid)); err != nil {
-			return nil, fmt.Errorf("syspersist: trim torn op-log tail: %w", err)
-		}
+		return true
+	})
+	if err != nil {
+		return nil, fmt.Errorf("syspersist: replay op log: %w", err)
 	}
 	return recs, nil
 }

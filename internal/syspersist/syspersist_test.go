@@ -1,6 +1,7 @@
 package syspersist_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -59,23 +60,28 @@ type opDriver interface {
 
 func driveOps(w *taskgen.Workload, d opDriver, n int) {
 	for i := 0; i < n; i++ {
-		switch {
-		case i%7 == 3 && i/7 < len(w.RT):
-			_, _ = d.AddRT(w.RT[i/7])
-		case i%5 == 4:
-			if i/5 < len(w.Sec) {
-				_, _ = d.Remove(w.Sec[i/5].Name)
-			}
-		case i%11 == 9:
-			_, _ = d.Reallocate()
-		default:
-			if i < len(w.Sec) {
-				_, _ = d.AddSecurity(w.Sec[i])
-			} else {
-				_, _ = d.AddSecurity(rts.SecurityTask{
-					Name: fmt.Sprintf("extra-%d", i), C: 0.2, TDes: 2000 + float64(i), TMax: 30000,
-				})
-			}
+		driveOp(w, d, i)
+	}
+}
+
+// driveOp applies op i of driveOps' sequence.
+func driveOp(w *taskgen.Workload, d opDriver, i int) {
+	switch {
+	case i%7 == 3 && i/7 < len(w.RT):
+		_, _ = d.AddRT(w.RT[i/7])
+	case i%5 == 4:
+		if i/5 < len(w.Sec) {
+			_, _ = d.Remove(w.Sec[i/5].Name)
+		}
+	case i%11 == 9:
+		_, _ = d.Reallocate()
+	default:
+		if i < len(w.Sec) {
+			_, _ = d.AddSecurity(w.Sec[i])
+		} else {
+			_, _ = d.AddSecurity(rts.SecurityTask{
+				Name: fmt.Sprintf("extra-%d", i), C: 0.2, TDes: 2000 + float64(i), TMax: 30000,
+			})
 		}
 	}
 }
@@ -315,8 +321,94 @@ func TestRecoveryEdgeCases(t *testing.T) {
 	}
 }
 
+// TestCrashAtEveryLogOffset cuts a driven system's events.jsonl at every
+// byte offset — a crash at any point of any append — and recovers the
+// system from its manifest and the cut log. It must come back with exactly
+// the state and version a never-crashed shadow had after the complete lines
+// before the cut, and the log must be cut back to those lines.
+func TestCrashAtEveryLogOffset(t *testing.T) {
+	r := openRegistry(t, t.TempDir(), 1000) // no snapshots: recovery replays the log
+	ds, err := r.Create("cut", "hydra", partition.BestFit, 2, nil, nil, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(ds.Dir(), "events.jsonl")
+	sh := shadow(t, "cut", 2)
+	w := testWorkload(t, 2, 0.5, 23)
+	type state struct {
+		version uint64
+		snap    string
+	}
+	// want[k] is the shadow after the op that wrote log line k.
+	want := []state{{sh.Version(), string(snapJSON(t, sh.Snapshot()))}}
+	step := func(op func(opDriver)) {
+		op(ds)
+		op(sh)
+		log, err := os.ReadFile(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch lines := bytes.Count(log, []byte("\n")); lines {
+		case len(want) - 1: // refused before the log: no line, no change
+		case len(want):
+			want = append(want, state{sh.Version(), string(snapJSON(t, sh.Snapshot()))})
+		default:
+			t.Fatalf("%d log lines after %d", lines, len(want)-1)
+		}
+	}
+	// Admits of both kinds, removals and a reallocate, then two tasks that
+	// each need 95% of a core: the second is logged and rejected.
+	for i := 0; i < 21; i++ {
+		step(func(d opDriver) { driveOp(w, d, i) })
+	}
+	for _, name := range []string{"fat-1", "fat-2"} {
+		step(func(d opDriver) { _, _ = d.AddSecurity(rts.SecurityTask{Name: name, C: 950, TDes: 1000, TMax: 1000}) })
+	}
+	if ev, _ := sh.EventsSince(sh.Version() - 1); len(ev) != 1 || ev[0].Type != online.EventReject {
+		t.Fatalf("the last op must be a logged rejection, got events %+v", ev)
+	}
+	r.Crash()
+	full, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest, err := os.ReadFile(filepath.Join(ds.Dir(), "system.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "cut")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "system.json"), manifest, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off <= len(full); off++ {
+		if err := os.WriteFile(filepath.Join(dir, "events.jsonl"), full[:off], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := syspersist.Recover(dir, 1000, false, nil)
+		if err != nil {
+			t.Fatalf("cut at byte %d: %v", off, err)
+		}
+		kept := bytes.LastIndexByte(full[:off], '\n') + 1
+		exp := want[bytes.Count(full[:kept], []byte("\n"))]
+		if v, snap := got.Version(), string(snapJSON(t, got.Snapshot())); v != exp.version || snap != exp.snap {
+			t.Fatalf("cut at byte %d: recovered version %d, state\n%s\nwant version %d, state\n%s", off, v, snap, exp.version, exp.snap)
+		}
+		if err := got.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if log, err := os.ReadFile(filepath.Join(dir, "events.jsonl")); err != nil || !bytes.Equal(log, full[:kept]) {
+			t.Fatalf("cut at byte %d: log holds %d bytes after recovery (err %v), want the %d of its complete lines", off, len(log), err, kept)
+		}
+	}
+}
+
 // TestDeleteDoesNotResurrect: a deleted system must not come back on the
-// next recovery, and its directory must be gone (no disk leak).
+// next recovery, and its directory must be gone (no disk leak). A handle
+// still held on it must refuse mutations with ErrClosed instead of silently
+// writing nowhere.
 func TestDeleteDoesNotResurrect(t *testing.T) {
 	dir := t.TempDir()
 	r := openRegistry(t, dir, 4)
@@ -333,6 +425,9 @@ func TestDeleteDoesNotResurrect(t *testing.T) {
 	}
 	if _, err := os.Stat(sysDir); !os.IsNotExist(err) {
 		t.Fatalf("system dir leaked after delete: %v", err)
+	}
+	if _, err := ds.AddSecurity(rts.SecurityTask{Name: "late", C: 0.2, TDes: 2000, TMax: 30000}); !errorsIs(err, syspersist.ErrClosed) {
+		t.Fatalf("admit on a deleted system's handle: %v, want ErrClosed", err)
 	}
 	r2 := openRegistry(t, dir, 4)
 	defer r2.Close()
@@ -404,44 +499,6 @@ func TestShardCountChangeRehomes(t *testing.T) {
 			t.Errorf("%s left behind after rehome", e.Name())
 		}
 	}
-}
-
-// TestRebalanceByteIdentity: Rebalance closes a system's store and rebuilds
-// it by log replay — the failover recipe. The rebuilt instance must be
-// byte-identical in state and version, its future decisions (including a
-// Reallocate) identical to an uninterrupted shadow, and the old handle must
-// refuse further mutations instead of silently writing nowhere.
-func TestRebalanceByteIdentity(t *testing.T) {
-	dir := t.TempDir()
-	r := openRegistry(t, dir, 1000) // no snapshots: rebalance must replay the full log
-	ds, err := r.Create("roam", "hydra", partition.BestFit, 2, nil, nil, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := shadow(t, "roam", 2)
-	w := testWorkload(t, 2, 0.5, 55)
-	driveOps(w, ds, 13)
-	driveOps(w, sh, 13)
-	preState := snapJSON(t, ds.Snapshot())
-	preVersion := ds.Version()
-
-	fresh, err := r.Rebalance("roam")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Version() != preVersion {
-		t.Fatalf("rebalanced version %d, want %d", fresh.Version(), preVersion)
-	}
-	if got := snapJSON(t, fresh.Snapshot()); string(got) != string(preState) {
-		t.Fatalf("rebalanced state diverged:\n%s\nvs\n%s", got, preState)
-	}
-	if cur, ok := r.Get("roam"); !ok || cur != fresh {
-		t.Fatal("registry must resolve to the rebalanced instance")
-	}
-	if _, err := ds.AddSecurity(rts.SecurityTask{Name: "late", C: 0.2, TDes: 2000, TMax: 30000}); err == nil {
-		t.Fatal("stale handle must refuse mutations after rebalance")
-	}
-	assertFutureDecisionsEqual(t, fresh, sh, eventsFn(fresh), eventsFn(sh), preVersion)
 }
 
 // TestRegistryLifecycleAndCounters covers create/get/list/delete bookkeeping,

@@ -2,6 +2,7 @@ package syspersist
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"hydra/internal/online"
@@ -9,9 +10,8 @@ import (
 	"hydra/internal/rts"
 )
 
-// ErrClosed is returned by mutations on a system whose store has been closed
-// (it is being rebalanced or the registry is shutting down). Re-resolve the
-// id through the registry for the live instance.
+// ErrClosed is returned by mutations on a system whose store has been closed:
+// the system was deleted, or the registry is shutting down.
 var ErrClosed = fmt.Errorf("syspersist: system closed")
 
 // DurableSystem pairs one online.System with its write-ahead store. Every
@@ -130,7 +130,9 @@ func (d *DurableSystem) AddRT(t rts.RTTask) (online.Placement, error) {
 	return p, err
 }
 
-// AddSecurity durably try-admits a security task.
+// AddSecurity durably try-admits a security task. Like a duplicate name, a
+// weight that would make the system's Σ ω non-finite fails before anything
+// is logged: the cumulative tightness must stay a reportable number.
 func (d *DurableSystem) AddSecurity(t rts.SecurityTask) (online.Placement, error) {
 	if err := t.Validate(); err != nil {
 		return online.Placement{}, err
@@ -139,6 +141,9 @@ func (d *DurableSystem) AddSecurity(t rts.SecurityTask) (online.Placement, error
 	defer d.mu.Unlock()
 	if d.sys.Has(t.Name) {
 		return online.Placement{}, fmt.Errorf("%w: %q", online.ErrDuplicateName, t.Name)
+	}
+	if sum := d.sys.WeightSum() + t.EffectiveWeight(); math.IsInf(sum, 0) {
+		return online.Placement{}, fmt.Errorf("syspersist: admitting %q makes the security task weights sum to %g; their sum must be finite", t.Name, sum)
 	}
 	j := secToJSON(t)
 	if err := d.appendLocked(&Record{Op: OpAddSecurity, Security: &j}); err != nil {
@@ -193,8 +198,8 @@ func (d *DurableSystem) Flush() error {
 
 // close closes the store; further mutations return ErrClosed. Any in-flight
 // async snapshot write is drained first so the directory is quiescent before
-// a caller removes or rebalances it. In-flight watchers are woken so follow
-// streams re-check liveness.
+// a caller removes it. In-flight watchers are woken so follow streams
+// re-check liveness.
 func (d *DurableSystem) close() error {
 	d.mu.Lock()
 	if d.closed {

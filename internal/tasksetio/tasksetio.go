@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"hydra/internal/partition"
 	"hydra/internal/rts"
@@ -73,13 +74,19 @@ func (d *Document) ToProblem() (*Problem, error) {
 		}
 		p.RT = append(p.RT, rts.RTTask{Name: t.Name, C: t.WCET, T: t.Period, D: deadline})
 	}
+	var weights float64
 	for _, s := range d.SecurityTasks {
-		p.Sec = append(p.Sec, rts.SecurityTask{
-			Name: s.Name, C: s.WCET, TDes: s.DesiredPeriod, TMax: s.MaxPeriod, Weight: s.Weight,
-		})
+		t := rts.SecurityTask{Name: s.Name, C: s.WCET, TDes: s.DesiredPeriod, TMax: s.MaxPeriod, Weight: s.Weight}
+		weights += t.EffectiveWeight()
+		p.Sec = append(p.Sec, t)
 	}
 	if err := rts.ValidateAll(p.RT, p.Sec); err != nil {
 		return nil, err
+	}
+	// The cumulative tightness Σ ω·η is reported as a JSON number, so it must
+	// be finite; since η ≤ 1, a finite Σ ω keeps it so.
+	if math.IsInf(weights, 0) {
+		return nil, fmt.Errorf("tasksetio: security task weights sum to %g; their sum must be finite", weights)
 	}
 	if d.RTPartition != nil {
 		if len(d.RTPartition) != len(p.RT) {
