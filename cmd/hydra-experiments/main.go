@@ -416,10 +416,3 @@ func parseSchemes(s string) ([]string, error) {
 	}
 	return out, nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -51,6 +51,14 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		fmt.Fprintln(stdout, strings.Join(core.Names(), "\n"))
 		return nil
 	}
+	// Each modifier flag configures one scheme; refuse it with any other
+	// rather than run a configuration other than the one asked for.
+	if *scheme != "hydra" && (*policy != "best-tightness" || *useGP || *explain) {
+		return fmt.Errorf("-policy, -gp and -explain apply only to -scheme hydra (got -scheme %s)", *scheme)
+	}
+	if *scheme != "opt" && *refine {
+		return fmt.Errorf("-refine applies only to -scheme opt (got -scheme %s)", *scheme)
+	}
 
 	problem, err := tasksetio.Load(*input, stdin)
 	if err != nil {
@@ -87,7 +95,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *explain && *scheme == "hydra" {
+	if *explain {
 		// ExplainHydra traces Algorithm 1 in the paper's default
 		// configuration; refuse combinations where the trace would describe
 		// a different allocation than the result below.

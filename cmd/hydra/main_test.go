@@ -79,8 +79,16 @@ func TestGPFlagAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Periods are printed with 3 decimals; closed form and GP agree to that.
-	if plain != gp {
+	// Each header names the scheme that ran. Periods are printed with 3
+	// decimals; closed form and GP agree to that, so everything else matches.
+	plainHead, plainRest, _ := strings.Cut(plain, "\n")
+	gpHead, gpRest, _ := strings.Cut(gp, "\n")
+	plainTail, okPlain := strings.CutPrefix(plainHead, "scheme: hydra ")
+	gpTail, okGP := strings.CutPrefix(gpHead, "scheme: hydra-gp ")
+	if !okPlain || !okGP {
+		t.Fatalf("headers must name hydra and hydra-gp:\n%s\n%s", plainHead, gpHead)
+	}
+	if plainTail != gpTail || plainRest != gpRest {
 		t.Fatalf("closed form and GP outputs differ:\n%s\nvs\n%s", plain, gp)
 	}
 }
@@ -159,6 +167,11 @@ func TestBadFlags(t *testing.T) {
 		{"-policy", "bogus"},
 		{"-heuristic", "bogus"},
 		{"-format", "bogus"},
+		// Modifier flags of one scheme are refused with any other.
+		{"-scheme", "opt", "-explain"},
+		{"-scheme", "hydra-gp", "-policy", "least-loaded"},
+		{"-scheme", "hydra", "-refine"},
+		{"-scheme", "singlecore", "-gp"},
 	}
 	for _, args := range cases {
 		if _, err := runCLI(t, args, sampleDoc); err == nil {

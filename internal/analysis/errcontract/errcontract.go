@@ -9,7 +9,7 @@
 // A caller that reaches for the Full variant and then ignores the trailing
 // `converged` result has silently rebuilt the legacy fold — a blown
 // iteration budget reads as a proven miss again, which is the exact bug
-// class PR 4 fixed in core.VerifyExact and AnalysisPessimism.
+// class once fixed in core.VerifyExact.
 //
 // errcontract flags call sites of the Full variants that discard the
 // converged result (statement-position calls, `_` in the assignment, or a

@@ -49,8 +49,15 @@ type allocatorFunc struct {
 	fn   func(*Input) *Result
 }
 
-func (a allocatorFunc) Name() string               { return a.name }
-func (a allocatorFunc) Allocate(in *Input) *Result { return a.fn(in) }
+func (a allocatorFunc) Name() string { return a.name }
+
+// Allocate runs the scheme and labels its result with the registry name, so
+// a variant (hydra-gp, opt-gp, ...) never answers with its base scheme's.
+func (a allocatorFunc) Allocate(in *Input) *Result {
+	r := a.fn(in)
+	r.Scheme = a.name
+	return r
+}
 
 // selfPartitioningFunc is an allocatorFunc that advertises the
 // SelfPartitioning capability.

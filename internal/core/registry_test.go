@@ -90,6 +90,9 @@ func TestRegisteredSchemesAllocateAndVerify(t *testing.T) {
 		if res == nil {
 			t.Fatalf("%s: Allocate returned nil", name)
 		}
+		if res.Scheme != name {
+			t.Fatalf("%s: result names scheme %q", name, res.Scheme)
+		}
 		if !res.Schedulable {
 			t.Fatalf("%s: rejected the easy problem: %s", name, res.Reason)
 		}

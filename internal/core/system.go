@@ -148,7 +148,7 @@ func (in *Input) secOrder() []int {
 // the *input* order of Input.Sec.
 type Result struct {
 	Schedulable bool
-	Scheme      string     // "hydra", "singlecore", "opt", ...
+	Scheme      string     // registry name of the producing Allocator ("hydra-gp", "opt", ...)
 	Assignment  []int      // core per security task
 	Periods     []rts.Time // adapted period per security task
 	Tightness   []float64  // eta_s = TDes/T per task

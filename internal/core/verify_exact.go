@@ -13,9 +13,8 @@ import (
 // higher-priority security tasks assigned there) no larger than its adapted
 // period. Because the linear bound of Eq. (5) dominates the ceiling bound,
 // any result accepted by Verify must also pass VerifyExact; the converse
-// does not hold (the exact test admits more). The function exists both as a
-// defence-in-depth check and to quantify the pessimism of the paper's
-// analysis.
+// does not hold (the exact test admits more). The function is a
+// defence-in-depth check.
 //
 // The per-core interferer lists live in a pooled rts.AnalysisState (seeded
 // in RT-partition order, security tasks committed in priority order — the
@@ -53,37 +52,4 @@ func VerifyExact(in *Input, r *Result) error {
 		st.CommitSecurity(c, s.C, ts)
 	}
 	return nil
-}
-
-// AnalysisPessimism quantifies how conservative the paper's linear bound is
-// for a given schedulable result: for each security task it returns
-// (linear bound)/(exact response time); values > 1 measure the headroom the
-// exact analysis would recover.
-func AnalysisPessimism(in *Input, r *Result) ([]float64, error) {
-	in = EffectiveInput(in, r)
-	if !r.Schedulable {
-		return nil, fmt.Errorf("core: cannot analyse an unschedulable result")
-	}
-	st := rts.AcquireAnalysisState(in.M)
-	defer rts.ReleaseAnalysisState(st)
-	for i, c := range in.RTPartition {
-		st.SeedRT(c, in.RT[i])
-	}
-	out := make([]float64, len(in.Sec))
-	for _, i := range in.secOrder() {
-		s := in.Sec[i]
-		c := r.Assignment[i]
-		ts := r.Periods[i]
-		linear := st.LinearSecurityBound(c, s.C, ts)
-		exact, ok, converged := st.SecurityResponseTime(c, s.C, ts)
-		if !ok || exact <= 0 {
-			if !converged {
-				return nil, fmt.Errorf("core: task %q: exact RTA did not converge (response time >= %g)", s.Name, exact)
-			}
-			return nil, fmt.Errorf("core: task %q fails the exact analysis", s.Name)
-		}
-		out[i] = linear / exact
-		st.CommitSecurity(c, s.C, ts)
-	}
-	return out, nil
 }

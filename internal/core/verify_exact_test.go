@@ -87,29 +87,6 @@ func TestLinearImpliesExactProperty(t *testing.T) {
 	}
 }
 
-func TestAnalysisPessimism(t *testing.T) {
-	sec := []rts.SecurityTask{{Name: "s", C: 10, TDes: 100, TMax: 5000}}
-	in := twoCoreInput(t, 0.5, 0.5, sec)
-	r := Hydra(in, HydraOptions{})
-	if !r.Schedulable {
-		t.Fatalf("unschedulable: %s", r.Reason)
-	}
-	p, err := AnalysisPessimism(in, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p) != 1 {
-		t.Fatalf("pessimism = %v", p)
-	}
-	// Linear bound always dominates the exact response time.
-	if p[0] < 1 {
-		t.Fatalf("pessimism ratio %v < 1 violates the domination theorem", p[0])
-	}
-	if _, err := AnalysisPessimism(in, newInfeasible("x", "y")); err == nil {
-		t.Fatal("unschedulable result must be rejected")
-	}
-}
-
 func TestExactSecurityRTAKnownValues(t *testing.T) {
 	// Security task C=2, period 20, against one RT interferer (1,4):
 	// R = 2 + ceil(R/4)*1: R=2 -> 2+1=3 -> 2+1=3 fixpoint.
@@ -156,8 +133,5 @@ func TestVerifyExactReportsNonConvergence(t *testing.T) {
 	}
 	if strings.Contains(err.Error(), "misses its adapted deadline") {
 		t.Fatalf("divergence reported as a proven miss: %v", err)
-	}
-	if _, aerr := AnalysisPessimism(in, res); aerr == nil || !strings.Contains(aerr.Error(), "did not converge") {
-		t.Fatalf("AnalysisPessimism divergence report: %v", aerr)
 	}
 }

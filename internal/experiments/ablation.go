@@ -74,12 +74,7 @@ func (c AblationCell) AcceptanceRatio() float64 {
 // same taskset draws. Tasksets are evaluated in parallel on the engine;
 // results are identical for any worker count.
 func RunAblation(cfg AblationConfig) ([]AblationCell, error) {
-	return RunAblationCtx(context.Background(), cfg)
-}
-
-// RunAblationCtx is RunAblation with cancellation.
-func RunAblationCtx(ctx context.Context, cfg AblationConfig) ([]AblationCell, error) {
-	r, err := runAblation(ctx, cfg, Hooks{})
+	r, err := runAblation(context.Background(), cfg, Hooks{})
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +99,7 @@ type ablationCellResult struct {
 	Tightness []float64 // per-task mean when accepted
 }
 
-// runAblation is the campaign-hooked driver behind RunAblationCtx and the
+// runAblation is the campaign-hooked run behind RunAblation and the
 // "ablation" spec.
 func runAblation(ctx context.Context, cfg AblationConfig, hooks Hooks) (*AblationResult, error) {
 	c := cfg.withDefaults()

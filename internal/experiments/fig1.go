@@ -95,15 +95,10 @@ type Fig1Result struct {
 // evaluated in parallel on the engine; results are identical for any worker
 // count.
 func RunFig1(cfg Fig1Config) (*Fig1Result, error) {
-	return RunFig1Ctx(context.Background(), cfg)
+	return runFig1(context.Background(), cfg, Hooks{})
 }
 
-// RunFig1Ctx is RunFig1 with cancellation.
-func RunFig1Ctx(ctx context.Context, cfg Fig1Config) (*Fig1Result, error) {
-	return runFig1(ctx, cfg, Hooks{})
-}
-
-// runFig1 is the campaign-hooked driver behind RunFig1Ctx and the "fig1"
+// runFig1 is the campaign-hooked run behind RunFig1 and the "fig1"
 // spec. One engine cell per platform size; Fig1Row round-trips through JSON
 // (including the raw ECDF samples), so checkpointed rows replay losslessly.
 func runFig1(ctx context.Context, cfg Fig1Config, hooks Hooks) (*Fig1Result, error) {

@@ -90,12 +90,7 @@ func (p Fig2Point) Ratio(i int) float64 {
 // how many each scheme schedules. The (level, taskset) grid is evaluated on
 // the parallel engine; results are identical for any worker count.
 func RunFig2(cfg Fig2Config) ([]Fig2Point, error) {
-	return RunFig2Ctx(context.Background(), cfg)
-}
-
-// RunFig2Ctx is RunFig2 with cancellation.
-func RunFig2Ctx(ctx context.Context, cfg Fig2Config) ([]Fig2Point, error) {
-	r, err := runFig2(ctx, cfg, Hooks{})
+	r, err := runFig2(context.Background(), cfg, Hooks{})
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +113,7 @@ type fig2CellResult struct {
 	Accepted  []bool
 }
 
-// runFig2 is the campaign-hooked driver behind RunFig2Ctx and the "fig2"
+// runFig2 is the campaign-hooked run behind RunFig2 and the "fig2"
 // spec.
 func runFig2(ctx context.Context, cfg Fig2Config, hooks Hooks) (*Fig2Result, error) {
 	c := cfg.withDefaults()

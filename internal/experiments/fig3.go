@@ -75,12 +75,7 @@ type Fig3Point struct {
 // schedule. The grid runs on the parallel engine; results are identical for
 // any worker count.
 func RunFig3(cfg Fig3Config) ([]Fig3Point, error) {
-	return RunFig3Ctx(context.Background(), cfg)
-}
-
-// RunFig3Ctx is RunFig3 with cancellation.
-func RunFig3Ctx(ctx context.Context, cfg Fig3Config) ([]Fig3Point, error) {
-	r, err := runFig3(ctx, cfg, Hooks{})
+	r, err := runFig3(context.Background(), cfg, Hooks{})
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +98,7 @@ type fig3CellResult struct {
 	Gap      float64
 }
 
-// runFig3 is the campaign-hooked driver behind RunFig3Ctx and the "fig3"
+// runFig3 is the campaign-hooked run behind RunFig3 and the "fig3"
 // spec.
 func runFig3(ctx context.Context, cfg Fig3Config, hooks Hooks) (*Fig3Result, error) {
 	c := cfg.withDefaults()

@@ -40,9 +40,6 @@ func (m *Model) AddBoundedVar(name string, lo, hi float64) Var {
 	return v
 }
 
-// NumVars returns the number of variables in the model.
-func (m *Model) NumVars() int { return len(m.names) }
-
 // Minimize sets the posynomial objective.
 func (m *Model) Minimize(p Posynomial) { m.obj = p }
 

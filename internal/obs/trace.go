@@ -166,16 +166,6 @@ func (s Span) End() {
 	}
 }
 
-// Annotate renames the root span's route (used when the route is only known
-// after Start, e.g. wildcard patterns).
-func (tr *Trace) Annotate(route string) {
-	if tr == nil {
-		return
-	}
-	tr.route = route
-	tr.spans[0].name = route
-}
-
 // Finish closes the root span and publishes the trace into the tracer ring.
 // The trace must not be used afterwards.
 func (tr *Trace) Finish() {

@@ -16,7 +16,6 @@ func TestTracerOffIsNil(t *testing.T) {
 	var nilTr *Trace
 	sp := nilTr.StartSpan("decode")
 	sp.End()
-	nilTr.Annotate("route")
 	nilTr.Finish()
 	if nilTr.ID() != "" {
 		t.Fatal("nil trace ID not empty")

@@ -44,9 +44,9 @@ func (s *System) logEvent(e Event) uint64 {
 	s.version++
 	e.Version = s.version
 	s.events = append(s.events, e)
-	if len(s.events) > s.maxEv {
+	if len(s.events) > defaultMaxEvents {
 		// Trim the oldest half in one move so appends stay amortized O(1).
-		keep := s.maxEv / 2
+		keep := defaultMaxEvents / 2
 		s.events = append(s.events[:0], s.events[len(s.events)-keep:]...)
 	}
 	close(s.changed)

@@ -3,9 +3,10 @@
 // design-space question "can this static taskset host these security tasks?".
 //
 // A System owns a committed allocation (real-time partition, security
-// assignments and adapted periods) plus the per-core incremental
-// rts.AnalysisState it was admitted against, so task arrival is an O(M)
-// admission trial on warm state instead of a cold full allocation:
+// assignments and adapted periods, the latter kept once, in commit order)
+// plus a per-core incremental rts.AnalysisState of its real-time tasks, so
+// task arrival is an O(M) admission trial on warm state instead of a cold
+// full allocation:
 //
 //   - AddSecurity runs the registered HYDRA policy's per-core period
 //     adaptation against the committed load folds and commits to the winning
@@ -148,14 +149,13 @@ type System struct {
 	m         int
 
 	mu      sync.Mutex
-	st      *rts.AnalysisState // long-lived incremental per-core state
+	st      *rts.AnalysisState // long-lived exact-RTA state of the RT tasks
 	rt      []PlacedRT         // commit order
 	sec     []PlacedSec        // commit order == analysis priority order
 	names   map[string]TaskKind
 	cursor  int // NextFit cursor for RT placements
 	version uint64
 	events  []Event
-	maxEv   int
 	changed chan struct{}
 	onEvent func(Event)    // registry counter sink; may be nil
 	loads   []rts.CoreLoad // per-core folds, scratch of admitSecurityLocked
@@ -213,7 +213,6 @@ func NewSystem(id, scheme string, h partition.Heuristic, m int, rt []rts.RTTask,
 		m:         m,
 		st:        rts.NewAnalysisState(m),
 		names:     names,
-		maxEv:     defaultMaxEvents,
 		changed:   make(chan struct{}),
 	}
 	if err := s.commitColdAllocation(rt, sec, part); err != nil {
@@ -287,7 +286,6 @@ func (s *System) commitColdAllocation(rt []rts.RTTask, sec []rts.SecurityTask, p
 		// so the commit-order load folds match the cold run's bit for bit.
 		for _, i := range core.SecurityPriorityOrder(sec) {
 			s.sec = append(s.sec, PlacedSec{Task: sec[i], Core: res.Assignment[i], Period: res.Periods[i]})
-			s.st.CommitSecurity(res.Assignment[i], sec[i].C, res.Periods[i])
 		}
 	}
 	s.cursor = 0
@@ -409,7 +407,6 @@ func (s *System) admitSecurityLocked(t rts.SecurityTask) (Placement, *Rejection,
 		return Placement{}, &Rejection{Task: t.Name, Kind: KindSecurity, Cores: verdicts}, nil
 	}
 	s.sec = append(s.sec, PlacedSec{Task: t, Core: c, Period: period})
-	s.st.CommitSecurity(c, t.C, period)
 	s.names[t.Name] = KindSecurity
 	s.rejects = 0
 	v := s.logEvent(Event{Type: EventAdmit, Task: t.Name, Kind: KindSecurity, Core: c,
@@ -534,9 +531,10 @@ func (s *System) securityStaysFeasible(c int, t rts.RTTask) (PlacedSec, bool) {
 }
 
 // Remove retires the named task. Real-time removals evict and cold-reseed
-// the affected core's analysis state; security removals splice the committed
-// interferer (later tasks keep their commit order and their — now looser —
-// period contracts). It returns ErrNotFound for unknown names.
+// the affected core's analysis state; security removals splice the task out
+// of the commit-order list, which is all the admission folds read (later
+// tasks keep their commit order and their — now looser — period contracts).
+// It returns ErrNotFound for unknown names.
 func (s *System) Remove(name string) (Removed, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -560,24 +558,11 @@ func (s *System) Remove(name string) (Removed, error) {
 		}
 	case KindSecurity:
 		for i := range s.sec {
-			if s.sec[i].Task.Name != name {
-				continue
+			if s.sec[i].Task.Name == name {
+				corec = s.sec[i].Core
+				s.sec = append(s.sec[:i], s.sec[i+1:]...)
+				break
 			}
-			corec = s.sec[i].Core
-			// Distinct tasks can share (C, period); tell the state which of
-			// the equal interferers this one is (its ordinal among matching
-			// commits on the core) so the fold order stays exact.
-			ordinal := 0
-			for j := 0; j < i; j++ {
-				if s.sec[j].Core == corec && s.sec[j].Task.C == s.sec[i].Task.C && s.sec[j].Period == s.sec[i].Period {
-					ordinal++
-				}
-			}
-			if !s.st.RemoveSecurity(corec, s.sec[i].Task.C, s.sec[i].Period, ordinal) {
-				return Removed{}, fmt.Errorf("online: internal: task %q missing from core %d interferer list", name, corec)
-			}
-			s.sec = append(s.sec[:i], s.sec[i+1:]...)
-			break
 		}
 	}
 	delete(s.names, name)
@@ -760,7 +745,6 @@ func RestoreSystem(id, scheme string, h partition.Heuristic, m, reallocAfter int
 		m:            m,
 		st:           rts.NewAnalysisState(m),
 		names:        names,
-		maxEv:        defaultMaxEvents,
 		changed:      make(chan struct{}),
 		reallocAfter: reallocAfter,
 		cursor:       ps.Cursor,
@@ -771,9 +755,6 @@ func RestoreSystem(id, scheme string, h partition.Heuristic, m, reallocAfter int
 		s.st.SeedRT(p.Core, p.Task)
 		s.rt = append(s.rt, PlacedRT{Task: p.Task, Core: p.Core})
 	}
-	for _, p := range ps.Sec {
-		s.sec = append(s.sec, PlacedSec{Task: p.Task, Core: p.Core, Period: p.Period})
-		s.st.CommitSecurity(p.Core, p.Task.C, p.Period)
-	}
+	s.sec = append(s.sec, ps.Sec...)
 	return s, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -191,9 +192,9 @@ func TestChurnThenReallocateMatchesCold(t *testing.T) {
 }
 
 // TestRemoveDistinguishesEqualValuedSecurityTasks: two distinct committed
-// security tasks sharing (C, adapted period) on one core — removing the
-// later one must keep the earlier one's commit-order position, so exact-RTA
-// probes stay bit-identical to a system that never saw the removed task.
+// security tasks sharing (C, adapted period) on one core — removing either
+// one must keep every other task's commit-order position, so the admission
+// folds stay bit-identical to a system that never saw the removed task.
 func TestRemoveDistinguishesEqualValuedSecurityTasks(t *testing.T) {
 	rt := []rts.RTTask{rts.NewRTTask("ctl", 2, 20)}
 	mk := func(name string) rts.SecurityTask {
@@ -227,12 +228,53 @@ func TestRemoveDistinguishesEqualValuedSecurityTasks(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("after removing twin-b:\n%s\nwant\n%s", got, want)
 	}
-	// The committed analysis state must agree with the reference on further
-	// admissions (same folds, same interferer order).
+	// Further admissions must agree with the reference (same commit-order
+	// load folds).
 	pa, err1 := s.AddSecurity(rts.SecurityTask{Name: "probe", C: 4, TDes: 600, TMax: 6000})
 	pb, err2 := ref.AddSecurity(rts.SecurityTask{Name: "probe", C: 4, TDes: 600, TMax: 6000})
 	if (err1 == nil) != (err2 == nil) || pa.Core != pb.Core || pa.Period != pb.Period {
 		t.Fatalf("post-removal admission diverges: (%+v, %v) vs (%+v, %v)", pa, err1, pb, err2)
+	}
+
+	// The earlier twin: the survivors keep their order, and later admissions
+	// (placements and rejection verdicts alike) decide as on a system
+	// restored from exactly that list.
+	s = build("twin-a", "twin-b")
+	pre := s.Snapshot()
+	if len(pre.Sec) != 3 || pre.Sec[0].Period != pre.Sec[2].Period {
+		t.Fatalf("twins must share their adapted period: %+v", pre.Sec)
+	}
+	if _, err := s.Remove("twin-a"); err != nil {
+		t.Fatal(err)
+	}
+	var survivors []online.PlacedSec
+	for _, p := range pre.Sec {
+		if p.Task.Name != "twin-a" {
+			survivors = append(survivors, p)
+		}
+	}
+	post := s.Snapshot()
+	if !reflect.DeepEqual(post.Sec, survivors) {
+		t.Fatalf("after removing twin-a:\n%+v\nwant\n%+v", post.Sec, survivors)
+	}
+	restored, err := online.RestoreSystem("t", "hydra", partition.BestFit, 1, 0,
+		online.PersistedState{Version: post.Version, RT: post.RT, Sec: survivors})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, probe := range []rts.SecurityTask{
+		{Name: "probe", C: 4, TDes: 600, TMax: 6000},
+		{Name: "huge", C: 590, TDes: 600, TMax: 610},
+	} {
+		pa, err1 := s.AddSecurity(probe)
+		pb, err2 := restored.AddSecurity(probe)
+		if pa != pb || !reflect.DeepEqual(err1, err2) {
+			t.Fatalf("%s after removing twin-a: (%+v, %v), restored system (%+v, %v)", probe.Name, pa, err1, pb, err2)
+		}
+		var rej *online.Rejection
+		if admitted := err1 == nil; admitted != (probe.Name == "probe") || (!admitted && !errors.As(err1, &rej)) {
+			t.Fatalf("%s: admitted %v (%v); want probe admitted, huge rejected", probe.Name, admitted, err1)
+		}
 	}
 }
 

@@ -65,9 +65,6 @@ func TestTightnessAndWeights(t *testing.T) {
 	if got := s.EffectiveWeight(); got != 3 {
 		t.Fatalf("weight = %v, want 3", got)
 	}
-	if got := s.MinUtilization(); got != 0.01 {
-		t.Fatalf("MinUtilization = %v", got)
-	}
 	if got := s.DesiredUtilization(); got != 0.1 {
 		t.Fatalf("DesiredUtilization = %v", got)
 	}

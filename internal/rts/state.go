@@ -49,7 +49,6 @@ type coreState struct {
 	// bit-identical to a state that never saw the removed task.
 	seq []RTTask
 
-	tmp       []Time            // trial scratch for commit-time response updates
 	reseedRT  []RTTask          // RemoveRT scratch: surviving RT arrivals
 	reseedSec []InterferingTask // RemoveRT scratch: committed security interferers
 
@@ -221,44 +220,16 @@ func (st *AnalysisState) TryAddRT(c int, t RTTask) bool {
 // committed before any CommitSecurity on the same core.
 func (st *AnalysisState) AddRT(c int, t RTTask) bool {
 	cs := &st.cores[c]
-	var k int
-	var rNew Time
 	if cs.trial.valid && cs.trial.task == t {
 		// The heuristics probe with TryAddRT and then commit the chosen
 		// core; reuse that trial's analysis instead of repeating it.
 		st.met.TrialReuses++
-		k, rNew = cs.trial.k, cs.trial.rNew
-		cs.tmp = append(cs.tmp[:0], cs.trial.resp...)
-	} else {
-		k = cs.rmInsertionIndex(t)
-		var ok bool
-		rNew, ok, _ = cs.rtResponse(&st.met, t.C, t.D, k, k, nil, t.C)
-		if !ok {
-			return false
-		}
-		cs.tmp = cs.tmp[:0]
-		for i := k; i < len(cs.rm); i++ {
-			r, ok, _ := cs.rtResponse(&st.met, cs.rm[i].C, cs.rm[i].D, i, k, &t, cs.resp[i])
-			if !ok {
-				return false
-			}
-			cs.tmp = append(cs.tmp, r)
-		}
+	} else if !st.TryAddRT(c, t) {
+		return false
 	}
-	cs.trial.valid = false
-	cs.rm = append(cs.rm, RTTask{})
-	copy(cs.rm[k+1:], cs.rm[k:])
-	cs.rm[k] = t
-	cs.resp = append(cs.resp, 0)
-	copy(cs.resp[k+1:], cs.resp[k:])
-	cs.resp[k] = rNew
-	copy(cs.resp[k+1:], cs.tmp)
-	cs.hp = append(cs.hp, InterferingTask{})
-	copy(cs.hp[cs.nRT+1:], cs.hp[cs.nRT:])
-	cs.hp[cs.nRT] = InterferingTask{C: t.C, T: t.T}
-	cs.nRT++
-	cs.rt.AddRT(t)
-	cs.seq = append(cs.seq, t)
+	k := cs.trial.k
+	cs.insertRT(k, t, cs.trial.rNew)
+	copy(cs.resp[k+1:], cs.trial.resp)
 	return true
 }
 
@@ -267,14 +238,8 @@ func (st *AnalysisState) AddRT(c int, t RTTask) bool {
 // response times start unknown and are derived on demand).
 func (st *AnalysisState) SeedRT(c int, t RTTask) {
 	cs := &st.cores[c]
-	cs.trial.valid = false
 	k := cs.rmInsertionIndex(t)
-	cs.rm = append(cs.rm, RTTask{})
-	copy(cs.rm[k+1:], cs.rm[k:])
-	cs.rm[k] = t
-	cs.resp = append(cs.resp, 0)
-	copy(cs.resp[k+1:], cs.resp[k:])
-	cs.resp[k] = 0
+	cs.insertRT(k, t, 0)
 	// The unanalyzed arrival interferes with every lower-priority task, so
 	// their memoized response times (if any commits preceded this seed) are
 	// stale lower bounds — still valid warm-start seeds, but no longer the
@@ -282,6 +247,19 @@ func (st *AnalysisState) SeedRT(c int, t RTTask) {
 	for i := k + 1; i < len(cs.resp); i++ {
 		cs.resp[i] = 0
 	}
+}
+
+// insertRT places t at RM index k with memoized response time r (0 =
+// unknown), appends it to the real-time prefix of the interferer list, the
+// load fold and the arrival log, and invalidates the trial.
+func (cs *coreState) insertRT(k int, t RTTask, r Time) {
+	cs.trial.valid = false
+	cs.rm = append(cs.rm, RTTask{})
+	copy(cs.rm[k+1:], cs.rm[k:])
+	cs.rm[k] = t
+	cs.resp = append(cs.resp, 0)
+	copy(cs.resp[k+1:], cs.resp[k:])
+	cs.resp[k] = r
 	cs.hp = append(cs.hp, InterferingTask{})
 	copy(cs.hp[cs.nRT+1:], cs.hp[cs.nRT:])
 	cs.hp[cs.nRT] = InterferingTask{C: t.C, T: t.T}
@@ -328,37 +306,6 @@ func (st *AnalysisState) RemoveRT(c int, t RTTask) bool {
 func (st *AnalysisState) CommitSecurity(core int, c, ts Time) {
 	cs := &st.cores[core]
 	cs.hp = append(cs.hp, InterferingTask{C: c, T: ts})
-}
-
-// RemoveSecurity evicts the ordinal-th (0-based, in commit order) committed
-// security interferer on core with the given WCET and period. The ordinal
-// matters when distinct tasks share (C, T): splicing the wrong duplicate
-// would keep an equal multiset but permute the commit order, and the exact
-// RTA's float fold is order-sensitive — the caller identifies which of the
-// equal entries its removed task actually is. The surviving interferers keep
-// their commit order, so the list is exactly the one a state that never
-// committed the task would hold (security commits carry no float-fold state
-// beyond the list itself). It reports whether a matching interferer was
-// present.
-func (st *AnalysisState) RemoveSecurity(core int, c, ts Time, ordinal int) bool {
-	cs := &st.cores[core]
-	seen := 0
-	for i := cs.nRT; i < len(cs.hp); i++ {
-		if cs.hp[i].C == c && cs.hp[i].T == ts {
-			if seen == ordinal {
-				cs.hp = append(cs.hp[:i], cs.hp[i+1:]...)
-				return true
-			}
-			seen++
-		}
-	}
-	return false
-}
-
-// SecurityCount returns the number of committed security interferers on core.
-func (st *AnalysisState) SecurityCount(core int) int {
-	cs := &st.cores[core]
-	return len(cs.hp) - cs.nRT
 }
 
 // SecurityResponseTime computes the exact ceiling-based response time of a

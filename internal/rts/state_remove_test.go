@@ -148,55 +148,6 @@ func TestRemoveRTDoesNotLeakMemoizedEntries(t *testing.T) {
 	}
 }
 
-// TestRemoveSecurityMatchesColdList checks the security removal path: the
-// surviving interferer list must be exactly the commit sequence without the
-// removed entry, pinned against the slice-based exact analysis.
-func TestRemoveSecurityMatchesColdList(t *testing.T) {
-	st := rts.AcquireAnalysisState(1)
-	defer rts.ReleaseAnalysisState(st)
-	rtTasks := []rts.RTTask{rts.NewRTTask("a", 1, 9), rts.NewRTTask("b", 2, 14)}
-	var hp []rts.InterferingTask
-	for _, task := range rtTasks {
-		st.SeedRT(0, task)
-		hp = append(hp, rts.InterferingTask{C: task.C, T: task.T})
-	}
-	secs := []struct{ c, ts rts.Time }{{5, 120}, {2, 60}, {5, 120}, {8, 400}}
-	for _, s := range secs {
-		st.CommitSecurity(0, s.c, s.ts)
-		hp = append(hp, rts.InterferingTask{C: s.c, T: s.ts})
-	}
-	if n := st.SecurityCount(0); n != len(secs) {
-		t.Fatalf("security count %d, want %d", n, len(secs))
-	}
-	// Remove the SECOND (5,120) entry (ordinal 1): the first one — a
-	// different task that merely shares the values — must keep its position,
-	// because the exact RTA's float fold is commit-order-sensitive.
-	if !st.RemoveSecurity(0, 5, 120, 1) {
-		t.Fatal("RemoveSecurity did not find the second (5,120)")
-	}
-	// hp was [rt a, rt b, (5,120), (2,60), (5,120), (8,400)]; ordinal 1
-	// removes index 4, keeping the commit order of everything else.
-	want := append(append([]rts.InterferingTask(nil), hp[:4]...), hp[5])
-	for _, probe := range []struct{ c, d rts.Time }{{3, 500}, {1, 70}} {
-		wr, wok, wconv := rts.ExactSecurityResponseTimeFull(probe.c, probe.d, want)
-		gr, gok, gconv := st.SecurityResponseTime(0, probe.c, probe.d)
-		if gr != wr || gok != wok || gconv != wconv {
-			t.Fatalf("after removal, security RTA (%g,%g): got (%g,%v,%v), want (%g,%v,%v)",
-				probe.c, probe.d, gr, gok, gconv, wr, wok, wconv)
-		}
-	}
-	// Only one (5,120) remains: ordinal 1 no longer exists, ordinal 0 does.
-	if st.RemoveSecurity(0, 5, 120, 1) {
-		t.Fatal("ordinal past the last duplicate must report false")
-	}
-	if !st.RemoveSecurity(0, 5, 120, 0) {
-		t.Fatal("ordinal 0 must still match the surviving (5,120)")
-	}
-	if st.RemoveSecurity(0, 99, 99, 0) {
-		t.Fatal("removing an absent interferer must report false")
-	}
-}
-
 // TestRemoveRTConcurrentStates hammers removal from many goroutines, each on
 // its own pooled state (meaningful under -race), re-checking the rebuild
 // against a cold reference every time.

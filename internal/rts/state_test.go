@@ -1,7 +1,9 @@
 package rts_test
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -53,6 +55,32 @@ func checkWarmMatchesCold(t *testing.T, tasks []rts.RTTask, rng *rand.Rand) {
 	t.Helper()
 	st := rts.AcquireAnalysisState(1)
 	defer rts.ReleaseAnalysisState(st)
+	// The twin probes with TryAddRT before each AddRT, so its commits reuse
+	// the trial, while st's AddRT runs the analysis itself. After every call
+	// both must hold the same response times and load; after a refusal, the
+	// ones they held before it.
+	twin := rts.AcquireAnalysisState(1)
+	defer rts.ReleaseAnalysisState(twin)
+	commit := func(task rts.RTTask) bool {
+		t.Helper()
+		before, beforeLoad := st.RTResponseTimes(0, nil), st.RTLoad(0)
+		probed := twin.TryAddRT(0, task)
+		ok := st.AddRT(0, task)
+		if twinOK := twin.AddRT(0, task); probed != ok || twinOK != ok {
+			t.Fatalf("task %q: AddRT %v, twin probe %v and commit %v", task.Name, ok, probed, twinOK)
+		}
+		want, wantLoad := before, beforeLoad
+		if ok {
+			want, wantLoad = st.RTResponseTimes(0, nil), st.RTLoad(0)
+		}
+		for _, s := range []*rts.AnalysisState{st, twin} {
+			if got := s.RTResponseTimes(0, nil); !slices.Equal(got, want) || s.RTLoad(0) != wantLoad {
+				t.Fatalf("task %q (admitted %v): responses %v load %+v, want %v load %+v",
+					task.Name, ok, got, s.RTLoad(0), want, wantLoad)
+			}
+		}
+		return ok
+	}
 
 	// Commit in a random order — the state's verdicts must not depend on
 	// arrival order, only on the committed set.
@@ -60,7 +88,7 @@ func checkWarmMatchesCold(t *testing.T, tasks []rts.RTTask, rng *rand.Rand) {
 	warmOK := true
 	committed := 0
 	for _, i := range order {
-		if !st.AddRT(0, tasks[i]) {
+		if !commit(tasks[i]) {
 			warmOK = false
 			break
 		}
@@ -95,6 +123,20 @@ func checkWarmMatchesCold(t *testing.T, tasks []rts.RTTask, rng *rand.Rand) {
 		}
 		if rts.CoreSchedulable(withNext) {
 			t.Fatalf("incremental state rejected a set CoreSchedulable accepts (%d tasks)", len(withNext))
+		}
+	}
+	if committed == 0 {
+		return
+	}
+	// Two arrivals no non-empty core admits: a lowest-priority task with no
+	// slack, and a highest-priority one that leaves the others none.
+	minT, maxT := math.Inf(1), 0.0
+	for _, j := range order[:committed] {
+		minT, maxT = math.Min(minT, tasks[j].T), math.Max(maxT, tasks[j].T)
+	}
+	for _, task := range []rts.RTTask{rts.NewRTTask("tail", 2*maxT, 2*maxT), rts.NewRTTask("hog", minT, minT)} {
+		if commit(task) {
+			t.Fatalf("task %q admitted onto %d committed tasks", task.Name, committed)
 		}
 	}
 }

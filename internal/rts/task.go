@@ -88,9 +88,6 @@ func (s SecurityTask) Validate() error {
 	return nil
 }
 
-// MinUtilization returns C/TMax, the least processor share the task can need.
-func (s SecurityTask) MinUtilization() float64 { return s.C / s.TMax }
-
 // DesiredUtilization returns C/TDes, the share at the desired rate.
 func (s SecurityTask) DesiredUtilization() float64 { return s.C / s.TDes }
 

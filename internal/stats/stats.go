@@ -1,11 +1,10 @@
 // Package stats provides the small statistical toolkit used by the
-// evaluation harness: empirical CDFs (Fig. 1's metric), summary statistics,
-// and deterministic RNG splitting for reproducible experiments.
+// evaluation harness: empirical CDFs (Fig. 1's metric) and deterministic RNG
+// splitting for reproducible experiments.
 package stats
 
 import (
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"sort"
 )
@@ -117,37 +116,6 @@ func (e *ECDF) UnmarshalJSON(data []byte) error {
 	sort.Float64s(samples) // already sorted when written by MarshalJSON
 	e.sorted = samples
 	return nil
-}
-
-// Summary holds basic descriptive statistics.
-type Summary struct {
-	N              int
-	Mean, Min, Max float64
-}
-
-// Summarize computes a Summary of the samples.
-func Summarize(samples []float64) Summary {
-	s := Summary{N: len(samples)}
-	if len(samples) == 0 {
-		return s
-	}
-	s.Min, s.Max = samples[0], samples[0]
-	for _, v := range samples {
-		s.Mean += v
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-	}
-	s.Mean /= float64(len(samples))
-	return s
-}
-
-// String implements fmt.Stringer.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f min=%.3f max=%.3f", s.N, s.Mean, s.Min, s.Max)
 }
 
 // SplitRNG derives an independent, deterministic sub-generator from a base

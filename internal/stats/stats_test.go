@@ -86,20 +86,6 @@ func TestSeries(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{4, 2, 6})
-	if s.N != 3 || s.Mean != 4 || s.Min != 2 || s.Max != 6 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if s.String() == "" {
-		t.Fatal("String must be non-empty")
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 || empty.Mean != 0 {
-		t.Fatalf("empty summary = %+v", empty)
-	}
-}
-
 func TestSplitRNGIndependence(t *testing.T) {
 	a := SplitRNG(42, 0)
 	b := SplitRNG(42, 1)
