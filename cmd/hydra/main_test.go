@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,6 +22,14 @@ const sampleDoc = `{
     {"name": "bro", "wcet_ms": 30, "desired_period_ms": 500, "max_period_ms": 5000}
   ]
 }`
+
+// decodeResult parses a -json document, refusing unknown fields.
+func decodeResult(r io.Reader) (*tasksetio.ResultJSON, error) {
+	var rj tasksetio.ResultJSON
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return &rj, dec.Decode(&rj)
+}
 
 func runCLI(t *testing.T, args []string, stdin string) (string, error) {
 	t.Helper()
@@ -111,7 +121,7 @@ func TestJSONOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rj, err := tasksetio.DecodeResult(strings.NewReader(out))
+	rj, err := decodeResult(strings.NewReader(out))
 	if err != nil {
 		t.Fatalf("-json output does not parse: %v\n%s", err, out)
 	}
@@ -128,12 +138,23 @@ func TestJSONOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rj, err = tasksetio.DecodeResult(strings.NewReader(out))
+	rj, err = decodeResult(strings.NewReader(out))
 	if err != nil {
 		t.Fatalf("-json unschedulable output does not parse: %v\n%s", err, out)
 	}
 	if rj.Schedulable || rj.Reason == "" {
 		t.Fatalf("unexpected JSON verdict: %+v", rj)
+	}
+	// A pinned partition that fails exact RTA is refused, naming the core,
+	// as a failed heuristic packing is.
+	pinned := `{
+	  "cores": 2,
+	  "rt_tasks": [{"name": "a", "wcet_ms": 15, "period_ms": 20}, {"name": "b", "wcet_ms": 15, "period_ms": 20}],
+	  "security_tasks": [{"name": "s", "wcet_ms": 50, "desired_period_ms": 1000, "max_period_ms": 10000}],
+	  "rt_partition": [0, 0]
+	}`
+	if out, err := runCLI(t, []string{"-json"}, pinned); err == nil || !strings.Contains(err.Error(), "core 0") {
+		t.Fatalf("pinned overload: err = %v, want one naming core 0; output:\n%s", err, out)
 	}
 	// The explain trace is plain text; mixing it with -json is refused.
 	if _, err := runCLI(t, []string{"-json", "-explain"}, sampleDoc); err == nil {

@@ -72,6 +72,22 @@ func TestSecOrder(t *testing.T) {
 	if in.Sec[order[0]].Name != "tight" || in.Sec[order[1]].Name != "mid" || in.Sec[order[2]].Name != "loose" {
 		t.Fatalf("order = %v", order)
 	}
+	// NewOrderedInput analyzes in the listed order instead. Under TMax order
+	// "a" preempts "b" and "b" fails Eq. 6 (1 + 11*95 > 1000); listed below
+	// "b", "a" passes it (95 + 1.1*1 <= 100).
+	listed := []rts.SecurityTask{{Name: "b", C: 1, TDes: 1000, TMax: 2000}, {Name: "a", C: 95, TDes: 100, TMax: 100}}
+	r := &Result{Schedulable: true, Assignment: []int{0, 0}, Periods: []rts.Time{1000, 100}}
+	byTMax, err := NewInput(1, nil, nil, listed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ordered, err := NewOrderedInput(1, nil, nil, listed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Verify(byTMax, r) == nil || Verify(ordered, r) != nil || VerifyExact(ordered, r) != nil {
+		t.Fatalf("TMax order: %v; listed order: %v, exact %v", Verify(byTMax, r), Verify(ordered, r), VerifyExact(ordered, r))
+	}
 }
 
 func TestPeriodAdaptationClosedForm(t *testing.T) {
@@ -471,6 +487,10 @@ func TestVerifyCatchesViolations(t *testing.T) {
 	bad.Periods = []rts.Time{10}
 	if err := Verify(in, &bad); err == nil {
 		t.Fatal("period below TDes must fail verification")
+	}
+	bad.Periods = []rts.Time{math.NaN()}
+	if err := Verify(in, &bad); err == nil {
+		t.Fatal("NaN period must fail verification")
 	}
 	// Tamper: move to the loaded core with an unschedulable period.
 	bad2 := *r

@@ -53,6 +53,22 @@ func NewInput(m int, rt []rts.RTTask, part []int, sec []rts.SecurityTask) (*Inpu
 	return in, nil
 }
 
+// NewOrderedInput is NewInput for security tasks already listed from highest
+// to lowest analysis priority — the commit order of an online system — in
+// place of the TMax order (SecurityPriorityOrder) every scheme uses. Verify
+// and VerifyExact then analyze the tasks in the listed order.
+func NewOrderedInput(m int, rt []rts.RTTask, part []int, sec []rts.SecurityTask) (*Input, error) {
+	in, err := NewInput(m, rt, part, sec)
+	if err != nil {
+		return nil, err
+	}
+	in.order = make([]int, len(sec))
+	for i := range in.order {
+		in.order[i] = i
+	}
+	return in, nil
+}
+
 // Validate checks structural consistency of the input. The verdict is
 // cached: every scheme an experiment cell or serving request runs against
 // the same Input re-checks it, and the fields are immutable once in use.
@@ -137,7 +153,7 @@ func SecurityPriorityOrder(sec []rts.SecurityTask) []int {
 func (in *Input) secOrder() []int {
 	in.orderOnce.Do(func() {
 		if in.order != nil {
-			return // pre-seeded (EffectiveInput shares the parent's order)
+			return // pre-seeded (NewOrderedInput, or EffectiveInput sharing the parent's order)
 		}
 		in.order = SecurityPriorityOrder(in.Sec)
 	})
@@ -206,8 +222,10 @@ func EffectiveInput(in *Input, r *Result) *Input {
 // exactly one core per task, periods within [TDes, TMax], and the Eq. (6)
 // schedulability test Cs + I_s <= Ts on every core with the linear
 // interference of Eq. (5) from real-time tasks and higher-priority security
-// tasks. Results carrying their own RT partition (see Result.RTPartition) are
-// verified against it. It returns nil for a valid result.
+// tasks, in the input's priority order. Results carrying their own RT
+// partition (see Result.RTPartition) are verified against it. It runs no
+// exact RTA: the real-time side is VerifyExact's, or partition.Validate's. It
+// returns nil for a valid result.
 func Verify(in *Input, r *Result) error {
 	in = EffectiveInput(in, r)
 	if !r.Schedulable {
@@ -221,7 +239,7 @@ func Verify(in *Input, r *Result) error {
 			return fmt.Errorf("core: task %q on invalid core %d", s.Name, c)
 		}
 		const tol = 1e-6
-		if r.Periods[i] < s.TDes*(1-tol) || r.Periods[i] > s.TMax*(1+tol) {
+		if !(r.Periods[i] >= s.TDes*(1-tol) && r.Periods[i] <= s.TMax*(1+tol)) {
 			return fmt.Errorf("core: task %q period %g outside [%g, %g]", s.Name, r.Periods[i], s.TDes, s.TMax)
 		}
 	}

@@ -6,15 +6,16 @@ import (
 	"hydra/internal/rts"
 )
 
-// VerifyExact checks a schedulable result against the *exact* ceiling-based
-// response-time analysis instead of the paper's linear interference bound:
-// every security task, on its assigned core, must have a worst-case response
-// time (under interference from all real-time tasks on that core and all
-// higher-priority security tasks assigned there) no larger than its adapted
-// period. Because the linear bound of Eq. (5) dominates the ceiling bound,
-// any result accepted by Verify must also pass VerifyExact; the converse
-// does not hold (the exact test admits more). The function is a
-// defence-in-depth check.
+// VerifyExact checks a schedulable result against *exact* response-time
+// analysis: first every core's real-time tasks must meet their deadlines
+// (the RT half of the paper's guarantee, which Verify does not check), then
+// every security task, on its assigned core and in the input's priority
+// order, must have a ceiling-based worst-case response time (under
+// interference from all real-time tasks on that core and all higher-priority
+// security tasks assigned there) no larger than its adapted period. Because
+// the linear bound of Eq. (5) dominates the ceiling bound, any result
+// accepted by Verify on a schedulable RT partition also passes VerifyExact;
+// the converse does not hold (the exact test admits more).
 //
 // The per-core interferer lists live in a pooled rts.AnalysisState (seeded
 // in RT-partition order, security tasks committed in priority order — the
@@ -32,6 +33,11 @@ func VerifyExact(in *Input, r *Result) error {
 	defer rts.ReleaseAnalysisState(st)
 	for i, c := range in.RTPartition {
 		st.SeedRT(c, in.RT[i])
+	}
+	for c := 0; c < in.M; c++ {
+		if !st.RTSchedulable(c) {
+			return fmt.Errorf("core: real-time tasks on core %d miss a deadline under exact RTA", c)
+		}
 	}
 	for _, i := range in.secOrder() {
 		s := in.Sec[i]

@@ -48,6 +48,17 @@ func TestVerifyExactRejectsOverload(t *testing.T) {
 	if err := VerifyExact(in, badCore); err == nil {
 		t.Fatal("invalid core must be rejected")
 	}
+	// A partition that overloads a core fails on its real-time side, even
+	// with the security task alone on the other core.
+	rt := []rts.RTTask{rts.NewRTTask("a", 15, 20), rts.NewRTTask("b", 15, 20)}
+	pinned, err := NewInput(2, rt, []int{0, 0}, sec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onIdle := &Result{Schedulable: true, Assignment: []int{1}, Periods: []rts.Time{100}}
+	if err := VerifyExact(pinned, onIdle); err == nil || !strings.Contains(err.Error(), "core 0") {
+		t.Fatalf("overloaded RT partition: err = %v, want one naming core 0", err)
+	}
 }
 
 // The soundness theorem behind the paper's analysis: every allocation that
@@ -91,16 +102,16 @@ func TestExactSecurityRTAKnownValues(t *testing.T) {
 	// Security task C=2, period 20, against one RT interferer (1,4):
 	// R = 2 + ceil(R/4)*1: R=2 -> 2+1=3 -> 2+1=3 fixpoint.
 	hp := []rts.InterferingTask{{C: 1, T: 4}}
-	r, ok := rts.ExactSecurityResponseTime(2, 20, hp)
-	if !ok || r != 3 {
-		t.Fatalf("R = %v ok=%v, want 3 true", r, ok)
+	r, ok, converged := rts.ExactSecurityResponseTimeFull(2, 20, hp)
+	if !ok || !converged || r != 3 {
+		t.Fatalf("R = %v ok=%v converged=%v, want 3 true true", r, ok, converged)
 	}
 	// Linear bound at ts=20: 2 + (1+20/4)*1 = 8 >= exact 3.
 	if b := rts.LinearSecurityResponseBound(2, 20, hp); b != 8 {
 		t.Fatalf("linear bound = %v, want 8", b)
 	}
 	// Saturation: interferer with utilization 1 never converges.
-	if _, ok := rts.ExactSecurityResponseTime(2, 1e6, []rts.InterferingTask{{C: 4, T: 4}}); ok {
+	if _, ok, _ := rts.ExactSecurityResponseTimeFull(2, 1e6, []rts.InterferingTask{{C: 4, T: 4}}); ok {
 		t.Fatal("saturated interference must fail")
 	}
 }

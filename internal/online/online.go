@@ -178,6 +178,22 @@ type System struct {
 // empty. Task names must be unique across both populations (removal is by
 // name).
 func NewSystem(id, scheme string, h partition.Heuristic, m int, rt []rts.RTTask, part []int, sec []rts.SecurityTask) (*System, error) {
+	s, err := newSystem(id, scheme, h, m, rt, sec)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.commitColdAllocation(rt, sec, part); err != nil {
+		return nil, err
+	}
+	s.logEvent(Event{Type: EventCreate, Core: -1,
+		Reason: fmt.Sprintf("scheme %s, %d cores, %d rt + %d security tasks", s.scheme, m, len(rt), len(sec))})
+	return s, nil
+}
+
+// newSystem is the setup NewSystem and RestoreSystem share: the scheme
+// default and lookup, the core-count and task checks, and the name index
+// over both populations (names must be unique). The system holds no task.
+func newSystem(id, scheme string, h partition.Heuristic, m int, rt []rts.RTTask, sec []rts.SecurityTask) (*System, error) {
 	if scheme == "" {
 		scheme = "hydra"
 	}
@@ -205,54 +221,25 @@ func NewSystem(id, scheme string, h partition.Heuristic, m int, rt []rts.RTTask,
 		}
 		names[t.Name] = KindSecurity
 	}
-	s := &System{
-		id:        id,
-		scheme:    scheme,
-		opts:      opts,
-		heuristic: h,
-		m:         m,
-		st:        rts.NewAnalysisState(m),
-		names:     names,
-		changed:   make(chan struct{}),
-	}
-	if err := s.commitColdAllocation(rt, sec, part); err != nil {
-		return nil, err
-	}
-	s.logEvent(Event{Type: EventCreate, Core: -1,
-		Reason: fmt.Sprintf("scheme %s, %d cores, %d rt + %d security tasks", scheme, m, len(rt), len(sec))})
-	return s, nil
+	return &System{id: id, scheme: scheme, opts: opts, heuristic: h, m: m,
+		st: rts.NewAnalysisState(m), names: names, changed: make(chan struct{})}, nil
 }
 
 // commitColdAllocation runs the scheme cold on (rt, sec) and replaces the
 // committed state with its outcome, placing the real-time tasks on pinned
-// (validated for shape and exact-RTA schedulability) when non-nil, else on a
-// fresh heuristic partition. The caller holds no lock (creation) or the
-// system lock (Reallocate); on error the state is left untouched.
+// (checked by partition.Partition.Validate) when non-nil, else on a fresh
+// heuristic partition. The caller holds no lock (creation) or the system
+// lock (Reallocate); on error the state is left untouched.
 func (s *System) commitColdAllocation(rt []rts.RTTask, sec []rts.SecurityTask, pinned []int) error {
 	var part []int
 	switch {
 	case pinned != nil:
-		if len(pinned) != len(rt) {
-			return fmt.Errorf("online: pinned partition covers %d tasks, taskset has %d", len(pinned), len(rt))
-		}
-		for i, c := range pinned {
-			if c < 0 || c >= s.m {
-				return fmt.Errorf("online: pinned partition places task %d on invalid core %d of %d", i, c, s.m)
-			}
-		}
 		// Heuristic partitions are exact-RTA-admitted by construction; a
 		// pinned one must be checked before it becomes committed state.
-		probe := rts.AcquireAnalysisState(s.m)
-		for i, c := range pinned {
-			probe.SeedRT(c, rt[i])
+		p := partition.Partition{M: s.m, CoreOf: pinned}
+		if err := p.Validate(rt); err != nil {
+			return fmt.Errorf("online: pinned %w", err)
 		}
-		for c := 0; c < s.m; c++ {
-			if !probe.RTSchedulable(c) {
-				rts.ReleaseAnalysisState(probe)
-				return fmt.Errorf("online: pinned partition is not schedulable under exact RTA on core %d", c)
-			}
-		}
-		rts.ReleaseAnalysisState(probe)
 		part = pinned
 	case len(rt) > 0:
 		p, err := partition.PartitionRT(rt, s.m, s.heuristic)
@@ -698,63 +685,55 @@ func (s *System) PersistedState() PersistedState {
 // maintains through its admissions and cold-reseeding removals — so every
 // future decision (admit verdicts, period adaptations, Reallocate outcomes)
 // and every future event version is identical to the never-restarted
-// process's. No event is logged; the version counter resumes where the
-// persisted state left it. reallocAfter restores the auto-reallocate knob.
+// process's. A state that fails Verify is refused. No event is logged; the
+// version counter resumes where the persisted state left it. reallocAfter
+// restores the auto-reallocate knob.
 func RestoreSystem(id, scheme string, h partition.Heuristic, m, reallocAfter int, ps PersistedState) (*System, error) {
-	if scheme == "" {
-		scheme = "hydra"
+	rt := make([]rts.RTTask, len(ps.RT))
+	for i, p := range ps.RT {
+		rt[i] = p.Task
 	}
-	opts, ok := incrementalSchemes[scheme]
-	if !ok {
-		return nil, fmt.Errorf("online: scheme %q has no incremental admission step (supported: %s)",
-			scheme, strings.Join(SupportedSchemes(), ", "))
+	sec := make([]rts.SecurityTask, len(ps.Sec))
+	for i, p := range ps.Sec {
+		sec[i] = p.Task
 	}
-	if m <= 0 {
-		return nil, fmt.Errorf("online: need at least one core, got %d", m)
+	s, err := newSystem(id, scheme, h, m, rt, sec)
+	if err != nil {
+		return nil, err
 	}
-	if reallocAfter < 0 {
-		reallocAfter = 0
+	if err := Verify(Snapshot{M: m, RT: ps.RT, Sec: ps.Sec}); err != nil {
+		return nil, fmt.Errorf("online: restore: %w", err)
 	}
-	names := make(map[string]TaskKind, len(ps.RT)+len(ps.Sec))
-	for _, p := range ps.RT {
-		if p.Core < 0 || p.Core >= m {
-			return nil, fmt.Errorf("online: restore: rt task %q on invalid core %d of %d", p.Task.Name, p.Core, m)
-		}
-		if _, dup := names[p.Task.Name]; dup {
-			return nil, fmt.Errorf("%w: %q", ErrDuplicateName, p.Task.Name)
-		}
-		names[p.Task.Name] = KindRT
-	}
-	for _, p := range ps.Sec {
-		if p.Core < 0 || p.Core >= m {
-			return nil, fmt.Errorf("online: restore: security task %q on invalid core %d of %d", p.Task.Name, p.Core, m)
-		}
-		if !(p.Period > 0) {
-			return nil, fmt.Errorf("online: restore: security task %q has non-positive period %g", p.Task.Name, p.Period)
-		}
-		if _, dup := names[p.Task.Name]; dup {
-			return nil, fmt.Errorf("%w: %q", ErrDuplicateName, p.Task.Name)
-		}
-		names[p.Task.Name] = KindSecurity
-	}
-	s := &System{
-		id:           id,
-		scheme:       scheme,
-		opts:         opts,
-		heuristic:    h,
-		m:            m,
-		st:           rts.NewAnalysisState(m),
-		names:        names,
-		changed:      make(chan struct{}),
-		reallocAfter: reallocAfter,
-		cursor:       ps.Cursor,
-		version:      ps.Version,
-		rejects:      ps.RejectStreak,
-	}
+	s.reallocAfter, s.cursor, s.version, s.rejects = max(reallocAfter, 0), ps.Cursor, ps.Version, ps.RejectStreak
 	for _, p := range ps.RT {
 		s.st.SeedRT(p.Core, p.Task)
-		s.rt = append(s.rt, PlacedRT{Task: p.Task, Core: p.Core})
 	}
+	s.rt = append(s.rt, ps.RT...)
 	s.sec = append(s.sec, ps.Sec...)
 	return s, nil
+}
+
+// Verify checks the paper's guarantee on a committed state, its security
+// tasks analyzed at their commit-order priority: every core's real-time
+// tasks meet their deadlines under exact RTA, and every security task meets
+// Eq. 6 and its exact response time at a period in [TDes, TMax]. It is
+// core.Verify and then core.VerifyExact on the state as a core.Input.
+func Verify(snap Snapshot) error {
+	rt, part := make([]rts.RTTask, len(snap.RT)), make([]int, len(snap.RT))
+	for i, p := range snap.RT {
+		rt[i], part[i] = p.Task, p.Core
+	}
+	sec := make([]rts.SecurityTask, len(snap.Sec))
+	res := &core.Result{Schedulable: true, Assignment: make([]int, len(snap.Sec)), Periods: make([]rts.Time, len(snap.Sec))}
+	for i, p := range snap.Sec {
+		sec[i], res.Assignment[i], res.Periods[i] = p.Task, p.Core, p.Period
+	}
+	in, err := core.NewOrderedInput(snap.M, rt, part, sec)
+	if err != nil {
+		return err
+	}
+	if err := core.Verify(in, res); err != nil {
+		return err
+	}
+	return core.VerifyExact(in, res)
 }

@@ -108,29 +108,88 @@ func TestUnsupportedSchemeRejected(t *testing.T) {
 	}
 }
 
-// checkCommittedFeasible re-derives every committed security task's Eq. (6)
-// test from scratch (fresh folds, commit order) — the invariant every
-// mutation must preserve.
-func checkCommittedFeasible(t *testing.T, snap online.Snapshot) {
-	t.Helper()
-	perCore := make([][]rts.RTTask, snap.M)
-	for _, p := range snap.RT {
-		perCore[p.Core] = append(perCore[p.Core], p.Task)
+// TestReachableStatesVerifyAndRestore: recovery refuses a snapshot that
+// fails Verify and silently replays the log instead, so byte-equality
+// recovery tests cannot see a wrong refusal. Random AddRT, AddSecurity,
+// Remove and Reallocate sequences over every hosted scheme, heuristic and
+// M in {2, 4} must therefore keep every state they reach verifiable and
+// restorable. Arrivals come from a 0.9·M pool on top of a 0.4·M base, so
+// some are rejected.
+func TestReachableStatesVerifyAndRestore(t *testing.T) {
+	var combos, ops, rejects int
+	for _, scheme := range online.SupportedSchemes() {
+		for _, h := range []partition.Heuristic{partition.BestFit, partition.FirstFit, partition.WorstFit, partition.NextFit} {
+			for _, m := range []int{2, 4} {
+				combos++
+				seed := int64(2 * combos)
+				base := baseWorkload(t, m, 0.4*float64(m), seed)
+				pool := baseWorkload(t, m, 0.9*float64(m), seed+1)
+				s, err := online.NewSystem("g", scheme, h, m, base.RT, nil, base.Sec)
+				if err != nil {
+					t.Fatalf("%s %v M=%d: create: %v", scheme, h, m, err)
+				}
+				var pendRT []rts.RTTask
+				var pendSec []rts.SecurityTask
+				for _, task := range pool.RT {
+					task.Name = "p-" + task.Name
+					pendRT = append(pendRT, task)
+				}
+				for _, task := range pool.Sec {
+					task.Name = "p-" + task.Name
+					pendSec = append(pendSec, task)
+				}
+				rng := stats.SplitRNG(2100, seed)
+				n := 100
+				if scheme == "hydra-gp" {
+					n = 20 // a solver run per (task, core)
+				}
+				for op := 0; op < n; op++ {
+					var err error
+					snap := s.Snapshot()
+					switch r := rng.Intn(20); {
+					case r < 6 && len(pendRT) > 0:
+						_, err = s.AddRT(pendRT[0])
+						pendRT = pendRT[1:]
+					case r < 13 && len(pendSec) > 0:
+						_, err = s.AddSecurity(pendSec[0])
+						pendSec = pendSec[1:]
+					case r < 18 && len(snap.RT)+len(snap.Sec) > 0:
+						// A removed task may arrive again later.
+						if i := rng.Intn(len(snap.RT) + len(snap.Sec)); i < len(snap.RT) {
+							_, err = s.Remove(snap.RT[i].Task.Name)
+							pendRT = append(pendRT, snap.RT[i].Task)
+						} else {
+							_, err = s.Remove(snap.Sec[i-len(snap.RT)].Task.Name)
+							pendSec = append(pendSec, snap.Sec[i-len(snap.RT)].Task)
+						}
+					default:
+						_, _ = s.Reallocate() // bin packing is not monotone: a refusal keeps the state
+					}
+					var rej *online.Rejection
+					if errors.As(err, &rej) {
+						rejects++
+					} else if err != nil {
+						t.Fatalf("%s %v M=%d op %d: %v", scheme, h, m, op, err)
+					}
+					ops++
+					after := s.Snapshot()
+					if err := online.Verify(after); err != nil {
+						t.Fatalf("%s %v M=%d op %d: reachable state fails Verify: %v", scheme, h, m, op, err)
+					}
+					restored, err := online.RestoreSystem("g", scheme, h, m, 0, s.PersistedState())
+					if err != nil {
+						t.Fatalf("%s %v M=%d op %d: reachable state not restorable: %v", scheme, h, m, op, err)
+					}
+					if got := restored.Snapshot(); !reflect.DeepEqual(got, after) {
+						t.Fatalf("%s %v M=%d op %d: restored state differs:\n%+v\nwant\n%+v", scheme, h, m, op, got, after)
+					}
+				}
+			}
+		}
 	}
-	loads := make([]rts.CoreLoad, snap.M)
-	for c := range perCore {
-		if !rts.CoreSchedulable(perCore[c]) {
-			t.Fatalf("core %d not RT-schedulable", c)
-		}
-		for _, task := range perCore[c] {
-			loads[c].AddRT(task)
-		}
-	}
-	for _, p := range snap.Sec {
-		if p.Task.C+loads[p.Core].LinearInterference(p.Period) > p.Period*(1+1e-6) {
-			t.Fatalf("security task %q violates Eq. 6 on core %d", p.Task.Name, p.Core)
-		}
-		loads[p.Core].AddPeriodic(p.Task.C, p.Period)
+	t.Logf("%d ops, %d rejections", ops, rejects)
+	if rejects == 0 {
+		t.Fatal("the pool must overload some arrivals")
 	}
 }
 
@@ -169,7 +228,9 @@ func TestChurnThenReallocateMatchesCold(t *testing.T) {
 				added++
 			}
 		}
-		checkCommittedFeasible(t, s.Snapshot())
+		if err := online.Verify(s.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if added == 0 {
 		t.Fatal("no dynamic task was ever admitted; test exercises nothing")
@@ -179,7 +240,9 @@ func TestChurnThenReallocateMatchesCold(t *testing.T) {
 		t.Fatalf("reallocate: %v", err)
 	}
 	assertMatchesCold(t, snap)
-	checkCommittedFeasible(t, snap)
+	if err := online.Verify(snap); err != nil {
+		t.Fatal(err)
+	}
 	// A second reallocate is a fixed point: same committed state again.
 	again, err := s.Reallocate()
 	if err != nil {
@@ -500,7 +563,9 @@ func TestConcurrentAdmitsHammer(t *testing.T) {
 	if s.Version() != base+uint64(len(events)) {
 		t.Fatalf("version %d does not match %d logged events after %d", s.Version(), len(events), base)
 	}
-	checkCommittedFeasible(t, s.Snapshot())
+	if err := online.Verify(s.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // fragmentedSystem builds the canonical defragmentation scenario on two
@@ -552,7 +617,9 @@ func TestReallocateUnlocksRejectedAdmit(t *testing.T) {
 	if p.Period != 100 {
 		t.Fatalf("post-reallocate placement %+v, want period 100", p)
 	}
-	checkCommittedFeasible(t, s.Snapshot())
+	if err := online.Verify(s.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestAutoReallocateAfterRejects covers the ReallocateAfter policy knob: with
@@ -579,7 +646,9 @@ func TestAutoReallocateAfterRejects(t *testing.T) {
 	if p.Version != events[2].Version || events[2].Version != base+3 {
 		t.Fatalf("admit version %d, want %d", p.Version, base+3)
 	}
-	checkCommittedFeasible(t, s.Snapshot())
+	if err := online.Verify(s.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestAutoReallocateThresholdAndStreak: below the threshold nothing happens;
@@ -641,5 +710,7 @@ func TestAutoReallocateThresholdAndStreak(t *testing.T) {
 	if len(events) != 2 || events[0].Type != online.EventReject || events[1].Type != online.EventReallocate {
 		t.Fatalf("event sequence %+v, want reject then reallocate", events)
 	}
-	checkCommittedFeasible(t, frozen.Snapshot())
+	if err := online.Verify(frozen.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
 }

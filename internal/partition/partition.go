@@ -208,7 +208,10 @@ func sortByUtilDesc(order []int, tasks []rts.RTTask) {
 	}
 }
 
-// Validate checks internal consistency of a partition against a taskset.
+// Validate checks a partition against a taskset: it covers every task, each
+// on a core in [0, M), and every core's tasks meet their deadlines under
+// exact RTA. It is the one check of a partition the caller pinned (heuristic
+// partitions pass it by construction).
 func (p *Partition) Validate(tasks []rts.RTTask) error {
 	if len(p.CoreOf) != len(tasks) {
 		return fmt.Errorf("partition: covers %d tasks, taskset has %d", len(p.CoreOf), len(tasks))
@@ -220,7 +223,7 @@ func (p *Partition) Validate(tasks []rts.RTTask) error {
 	}
 	for c, core := range p.Cores(tasks) {
 		if !rts.CoreSchedulable(core) {
-			return fmt.Errorf("partition: core %d is not schedulable", c)
+			return fmt.Errorf("partition: core %d is not schedulable under exact RTA", c)
 		}
 	}
 	return nil

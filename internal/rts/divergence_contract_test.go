@@ -26,10 +26,6 @@ func TestExactSecurityResponseTimeNonConvergenceReported(t *testing.T) {
 	if r > d {
 		t.Fatalf("non-convergent iterate %g must still be below the deadline %g", r, d)
 	}
-	// The wrapper folds divergence into the conservative false.
-	if _, ok := ExactSecurityResponseTime(c, d, hp); ok {
-		t.Fatal("ExactSecurityResponseTime must treat non-convergence as unschedulable")
-	}
 }
 
 // A genuine miss of the security RTA is reported as converged.

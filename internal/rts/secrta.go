@@ -9,30 +9,17 @@ type InterferingTask struct {
 	T Time
 }
 
-// ExactSecurityResponseTime computes the exact worst-case response time of a
-// security task with WCET c and period/deadline d under the ceiling-based
-// interference model
+// ExactSecurityResponseTimeFull computes the exact worst-case response time
+// of a security task with WCET c and period/deadline d under the
+// ceiling-based interference model
 //
 //	R = c + sum_h ceil(R/T_h) * C_h,
 //
 // where hp is every real-time task and higher-priority security task on the
-// same core. It returns the response time and true iff R <= d.
-//
-// This is strictly tighter than the paper's linear bound of Eq. (5),
-// (1 + Ts/T_h)*C_h, because ceil(x) <= x + 1: any allocation feasible under
-// Eq. (6) is feasible here too (see VerifyLinearImpliesExact tests), so the
-// paper's analysis is sound, merely pessimistic.
-//
-// The false outcome folds together a proven miss and a failure to converge
-// within MaxRTAIterations; callers that need to distinguish them use
-// ExactSecurityResponseTimeFull.
-func ExactSecurityResponseTime(c Time, d Time, hp []InterferingTask) (Time, bool) {
-	r, schedulable, _ := ExactSecurityResponseTimeFull(c, d, hp) //lint:allow errcontract documented legacy fold: both outcomes are safely treated as a miss
-	return r, schedulable
-}
-
-// ExactSecurityResponseTimeFull is ExactSecurityResponseTime with the
-// explicit divergence contract of ResponseTimeFull:
+// same core. This is strictly tighter than the paper's linear bound of
+// Eq. (5), (1 + Ts/T_h)*C_h, because ceil(x) < x + 1: any allocation feasible
+// under Eq. (6) is feasible here too, so the paper's analysis is sound,
+// merely pessimistic. It follows the divergence contract of ResponseTimeFull:
 //
 //   - schedulable && converged: r is the exact response time, r <= d;
 //   - !schedulable && converged: proven miss — the demand at the last

@@ -38,20 +38,35 @@ func coldResponseTimes(tasks []rts.RTTask) ([]rts.Time, bool) {
 // to the cold-started analysis of the final task set, and the same
 // schedulability verdict as CoreSchedulable.
 func TestWarmStartMatchesColdRandomized(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
+	refusals := 0
+	for seed := int64(0); seed < 80; seed++ {
 		rng := stats.SplitRNG(2024, seed)
 		// Mix of loads: sweep utilization up so both schedulable and
-		// unschedulable single-core sets appear.
+		// unschedulable single-core sets appear. The first 40 draws keep the
+		// real-time utilization at or below about 0.62, which AddRT never
+		// refuses; the draws at a total utilization of 1.2 and 1.3 reach
+		// the refusal branch.
 		util := 0.3 + 0.65*float64(seed%10)/10
+		if seed >= 40 {
+			util = 1.2 + 0.1*float64(seed%2)
+		}
 		w, err := taskgen.Generate(taskgen.DefaultParams(1, util), rng)
 		if err != nil {
 			continue
 		}
-		checkWarmMatchesCold(t, w.RT, rng)
+		if checkWarmMatchesCold(t, w.RT, rng) {
+			refusals++
+		}
+	}
+	t.Logf("%d randomized sets refused", refusals)
+	if refusals == 0 {
+		t.Fatal("no randomized set reached the refusal branch")
 	}
 }
 
-func checkWarmMatchesCold(t *testing.T, tasks []rts.RTTask, rng *rand.Rand) {
+// checkWarmMatchesCold commits tasks in a random order and reports whether
+// AddRT refused one of them.
+func checkWarmMatchesCold(t *testing.T, tasks []rts.RTTask, rng *rand.Rand) bool {
 	t.Helper()
 	st := rts.AcquireAnalysisState(1)
 	defer rts.ReleaseAnalysisState(st)
@@ -126,7 +141,7 @@ func checkWarmMatchesCold(t *testing.T, tasks []rts.RTTask, rng *rand.Rand) {
 		}
 	}
 	if committed == 0 {
-		return
+		return !warmOK
 	}
 	// Two arrivals no non-empty core admits: a lowest-priority task with no
 	// slack, and a highest-priority one that leaves the others none.
@@ -139,6 +154,7 @@ func checkWarmMatchesCold(t *testing.T, tasks []rts.RTTask, rng *rand.Rand) {
 			t.Fatalf("task %q admitted onto %d committed tasks", task.Name, committed)
 		}
 	}
+	return !warmOK
 }
 
 // TestTryAddRTMatchesCoreSchedulable cross-checks the admission trial against

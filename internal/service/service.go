@@ -229,8 +229,8 @@ type BatchResponse struct {
 }
 
 // VerifyRequest is the body of POST /v1/verify: a taskset and a previously
-// computed result to check. When the taskset has no fixed rt_partition the
-// result's own is used, else one is computed with the heuristic.
+// computed result to check. The real-time partition checked is the result's
+// rt_partition, else the taskset's, else one computed with the heuristic.
 type VerifyRequest struct {
 	Heuristic string               `json:"heuristic,omitempty"`
 	Taskset   tasksetio.Document   `json:"taskset"`
@@ -631,15 +631,20 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	part := p.RTPartition
-	if part == nil && len(res.RTPartition) == len(p.RT) {
-		part = res.RTPartition
+	// The partition core.Verify analyzes (see core.EffectiveInput): the
+	// result's, else the taskset's, else the heuristic's. A given one must
+	// pass exact RTA, or the result is invalid on both counts.
+	if res.RTPartition != nil { // ToResult checked it covers p.RT
+		p.RTPartition = res.RTPartition
 	}
-	if part == nil {
-		if part, err = p.Partition(h); err != nil {
-			writeError(w, http.StatusBadRequest, "cannot determine real-time partition (supply taskset.rt_partition or result.rt_partition): %v", err)
-			return
-		}
+	part, err := p.Partition(h)
+	switch {
+	case err != nil && p.RTPartition == nil:
+		writeError(w, http.StatusBadRequest, "cannot determine real-time partition (supply taskset.rt_partition or result.rt_partition): %v", err)
+		return
+	case err != nil:
+		writeJSON(w, http.StatusOK, VerifyResponse{Error: err.Error(), ExactError: err.Error()})
+		return
 	}
 	in, err := core.NewInput(p.M, p.RT, part, p.Sec)
 	if err != nil {

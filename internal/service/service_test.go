@@ -44,6 +44,21 @@ const sampleTasksetPermuted = `{
   ]
 }`
 
+// pinnedOverload pins two 75%-utilization real-time tasks onto core 0 of 2,
+// which exact RTA refuses (R = 30 > D = 20), next to an empty core 1 that
+// would host the security task.
+const pinnedOverload = `{
+  "cores": 2,
+  "rt_tasks": [
+    {"name": "a", "wcet_ms": 15, "period_ms": 20},
+    {"name": "b", "wcet_ms": 15, "period_ms": 20}
+  ],
+  "security_tasks": [
+    {"name": "tw", "wcet_ms": 50, "desired_period_ms": 1000, "max_period_ms": 10000}
+  ],
+  "rt_partition": [0, 0]
+}`
+
 // testAllocator wraps a registered scheme with a call counter and an
 // optional artificial delay, for singleflight and cancellation tests.
 type testAllocator struct {
@@ -176,7 +191,6 @@ func TestAllocateHitRateOverRepeatLoop(t *testing.T) {
 }
 
 func TestAllocateInfeasibleIsAVerdict(t *testing.T) {
-	s := newServer(t)
 	overload := `{
 	  "cores": 2,
 	  "rt_tasks": [
@@ -188,20 +202,52 @@ func TestAllocateInfeasibleIsAVerdict(t *testing.T) {
 	    {"name": "s", "wcet_ms": 1, "desired_period_ms": 100, "max_period_ms": 200}
 	  ]
 	}`
-	w := post(t, s, "/v1/allocate", allocateBody(overload, ""))
-	if w.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", w.Code, w.Body)
+	for _, tc := range []struct {
+		name, taskset, reason string
+	}{
+		{"heuristic-packing-fails", overload, "no core can admit"},
+		{"pinned-partition-overloads-core-0", pinnedOverload, "core 0 is not schedulable"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newServer(t)
+			check := func(body []byte) {
+				t.Helper()
+				var rj tasksetio.ResultJSON
+				if err := json.Unmarshal(body, &rj); err != nil {
+					t.Fatal(err)
+				}
+				if rj.Schedulable || !strings.Contains(rj.Reason, tc.reason) {
+					t.Fatalf("want an unschedulable verdict whose reason names %q, got %+v", tc.reason, rj)
+				}
+			}
+			w := post(t, s, "/v1/allocate", allocateBody(tc.taskset, ""))
+			if w.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", w.Code, w.Body)
+			}
+			check(w.Body.Bytes())
+			// The verdict is cached like any other result.
+			if got := post(t, s, "/v1/allocate", allocateBody(tc.taskset, "")).Header().Get("X-Cache"); got != "HIT" {
+				t.Fatalf("repeat infeasible request X-Cache = %q, want HIT", got)
+			}
+			// Every batch entry gets the same verdict, cold or cached.
+			w = post(t, newServer(t), "/v1/allocate/batch", fmt.Sprintf(`{"tasksets": [%s, %s]}`, tc.taskset, tc.taskset))
+			var resp BatchResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || len(resp.Results) != 2 {
+				t.Fatalf("batch: %v: %s", err, w.Body)
+			}
+			for _, body := range resp.Results {
+				check(body)
+			}
+		})
 	}
-	var rj tasksetio.ResultJSON
-	if err := json.Unmarshal(w.Body.Bytes(), &rj); err != nil {
-		t.Fatal(err)
-	}
-	if rj.Schedulable || rj.Reason == "" {
-		t.Fatalf("want an unschedulable verdict with a reason, got %+v", rj)
-	}
-	// The verdict is cached like any other result.
-	if got := post(t, s, "/v1/allocate", allocateBody(overload, "")).Header().Get("X-Cache"); got != "HIT" {
-		t.Fatalf("repeat infeasible request X-Cache = %q, want HIT", got)
+	// singlecore repartitions the real-time tasks itself, so a pin it never
+	// used leaves its answer unchanged.
+	s := newServer(t)
+	unpinned := strings.Replace(pinnedOverload, `"rt_partition": [0, 0]`, `"rt_partition": null`, 1)
+	pinned := post(t, s, "/v1/allocate", allocateBody(pinnedOverload, `"scheme": "singlecore"`))
+	free := post(t, s, "/v1/allocate", allocateBody(unpinned, `"scheme": "singlecore"`))
+	if pinned.Code != http.StatusOK || !bytes.Equal(pinned.Body.Bytes(), free.Body.Bytes()) {
+		t.Fatalf("singlecore: pinned answer (%d)\n%s\ndiffers from the unpinned one\n%s", pinned.Code, pinned.Body, free.Body)
 	}
 }
 
@@ -348,6 +394,38 @@ func TestVerifyEndpoint(t *testing.T) {
 	if vr.Valid {
 		t.Fatalf("tampered result accepted: %+v", vr)
 	}
+
+	// The partition checked is the one core.Verify analyzes: the result's,
+	// else the taskset's. Either way an overloaded core 0 invalidates the
+	// result on both counts.
+	result := `{"scheme": "hydra", "schedulable": true, "cumulative_tightness": 1,
+	  "tasks": [{"name": "tw", "core": 1, "period_ms": 1000, "tightness": 1, "accepted": true}]%s}`
+	unpinned := strings.Replace(pinnedOverload, `"rt_partition": [0, 0]`, `"rt_partition": null`, 1)
+	for _, tc := range []struct{ name, taskset, result string }{
+		{"taskset-pins", pinnedOverload, fmt.Sprintf(result, "")},
+		{"result-pins", unpinned, fmt.Sprintf(result, `, "rt_partition": [{"name": "a", "core": 0}, {"name": "b", "core": 0}]`)},
+	} {
+		w = post(t, s, "/v1/verify", fmt.Sprintf(`{"taskset": %s, "result": %s}`, tc.taskset, tc.result))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.name, w.Code, w.Body)
+		}
+		vr = VerifyResponse{}
+		if err := json.Unmarshal(w.Body.Bytes(), &vr); err != nil {
+			t.Fatal(err)
+		}
+		if vr.Valid || vr.ExactValid || !strings.Contains(vr.Error, "core 0") || !strings.Contains(vr.ExactError, "core 0") {
+			t.Fatalf("%s: overloaded core 0 accepted: %+v", tc.name, vr)
+		}
+	}
+	// A result placing a real-time task outside [0, cores) is a bad request.
+	onePinned := `{"cores": 2, "rt_tasks": [{"name": "ctl", "wcet_ms": 5, "period_ms": 20}], "security_tasks": [], "rt_partition": [0]}`
+	for _, c := range []int{99, -1} {
+		body := fmt.Sprintf(`{"taskset": %s, "result": {"scheme": "hydra", "schedulable": true, "cumulative_tightness": 0,
+		  "rt_partition": [{"name": "ctl", "core": %d}]}}`, onePinned, c)
+		if w := post(t, s, "/v1/verify", body); w.Code != http.StatusBadRequest {
+			t.Fatalf("result rt_partition core %d: status %d, want 400: %s", c, w.Code, w.Body)
+		}
+	}
 }
 
 func TestSimulateEndpoint(t *testing.T) {
@@ -369,6 +447,15 @@ func TestSimulateEndpoint(t *testing.T) {
 	// Horizon bounds are enforced.
 	if w := post(t, s, "/v1/simulate", allocateBody(sampleTaskset, `"horizon_ms": 99999999999`)); w.Code != http.StatusBadRequest {
 		t.Fatalf("oversized horizon: status %d", w.Code)
+	}
+	// A pinned partition that fails exact RTA is not simulated.
+	w = post(t, s, "/v1/simulate", allocateBody(pinnedOverload, ""))
+	sr = SimulateResponse{}
+	if err := json.Unmarshal(w.Body.Bytes(), &sr); err != nil {
+		t.Fatal(err)
+	}
+	if w.Code != http.StatusOK || sr.Schedulable || len(sr.Cores) != 0 || !strings.Contains(sr.Reason, "core 0") {
+		t.Fatalf("pinned overload: status %d, %+v", w.Code, sr)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"hydra/internal/stats"
 	"hydra/internal/syspersist"
 	"hydra/internal/taskgen"
+	"hydra/internal/tasksetio"
 )
 
 // testWorkload draws a small deterministic schedulable taskset.
@@ -289,6 +290,32 @@ func TestRecoveryEdgeCases(t *testing.T) {
 			// version): it must be ignored in favor of full replay.
 			sn := []byte(`{"seq":999,"version":999,"cursor":0,"rt_tasks":[],"security_tasks":[]}`)
 			if err := os.WriteFile(filepath.Join(sysDir, "snapshot.json"), sn, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "snapshot-breaks-guarantee", ops: 4, mutate: func(t *testing.T, sysDir string) {
+			// A well-formed snapshot of the 4-op state that covers the log,
+			// but with one security task's period below its TDes: restoring
+			// it would serve a state outside the guarantee, so it must be
+			// ignored in favor of full replay.
+			sh := shadow(t, "edge", 2)
+			for i := 0; i < 4; i++ {
+				if _, err := sh.AddSecurity(secTask(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ps := sh.PersistedState()
+			sn := syspersist.SnapshotFile{Seq: 4, Version: ps.Version, Cursor: ps.Cursor, RTTasks: []syspersist.PlacedRTJSON{}}
+			for _, p := range ps.Sec {
+				sn.SecurityTasks = append(sn.SecurityTasks, syspersist.PlacedSecJSON{Core: p.Core, PeriodMS: p.Period,
+					SecurityTaskJSON: tasksetio.SecurityTaskJSON{Name: p.Task.Name, WCET: p.Task.C, DesiredPeriod: p.Task.TDes, MaxPeriod: p.Task.TMax}})
+			}
+			sn.SecurityTasks[1].PeriodMS = sn.SecurityTasks[1].DesiredPeriod / 2
+			data, err := json.Marshal(sn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(sysDir, "snapshot.json"), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"hydra/internal/rts"
 )
 
 // FuzzRandFixedSum drives the simplex sampler with arbitrary shapes and
@@ -51,7 +53,7 @@ func FuzzGenerate(f *testing.F) {
 		if len(w.RT) == 0 {
 			t.Fatal("generated workload without RT tasks")
 		}
-		got := w.TotalUtilization()
+		got := rts.TotalRTUtilization(w.RT) + rts.TotalSecurityDesiredUtilization(w.Sec)
 		if math.Abs(got-util) > 1e-6*(1+util) {
 			t.Fatalf("utilization %v != target %v", got, util)
 		}

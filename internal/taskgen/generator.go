@@ -44,11 +44,6 @@ type Workload struct {
 	Sec []rts.SecurityTask
 }
 
-// TotalUtilization returns U_R + U_S(desired) of the workload.
-func (w *Workload) TotalUtilization() float64 {
-	return rts.TotalRTUtilization(w.RT) + rts.TotalSecurityDesiredUtilization(w.Sec)
-}
-
 // GenerateAt draws workload number draw of the stream owned by (version,
 // seed, shard), deriving the draw's generator directly instead of consuming
 // a shared sequential stream. Shard k of a scaled-out sweep can therefore

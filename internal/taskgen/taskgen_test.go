@@ -220,8 +220,8 @@ func TestGenerateFixedCounts(t *testing.T) {
 	if len(w.RT) != 7 || len(w.Sec) != 4 {
 		t.Fatalf("counts = %d,%d want 7,4", len(w.RT), len(w.Sec))
 	}
-	if w.TotalUtilization() <= 0 {
-		t.Fatal("TotalUtilization must be positive")
+	if rts.TotalRTUtilization(w.RT)+rts.TotalSecurityDesiredUtilization(w.Sec) <= 0 {
+		t.Fatal("total utilization must be positive")
 	}
 }
 

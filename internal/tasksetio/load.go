@@ -27,9 +27,9 @@ func Load(path string, stdin io.Reader) (*Problem, error) {
 }
 
 // BuildInput partitions the problem's real-time tasks (honoring a fixed
-// rt_partition in the document, else running heuristic h) and bundles a
-// core.Input for the allocator. When no valid partition over all M cores
-// exists, schemes that repartition the real-time tasks themselves (see
+// rt_partition in the document once it passes exact RTA, else running
+// heuristic h) and bundles a core.Input for the allocator. When no valid
+// partition over all M cores exists, schemes that repartition the real-time tasks themselves (see
 // core.SelfPartitions) still run against a placeholder partition; everyone
 // else gets the partitioning error.
 //

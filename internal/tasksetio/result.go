@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"hydra/internal/core"
 )
@@ -124,6 +123,9 @@ func (rj *ResultJSON) ToResult(p *Problem) (*core.Result, error) {
 			if len(q) == 0 {
 				return nil, fmt.Errorf("tasksetio: result has no placement for real-time task %q", t.Name)
 			}
+			if c := rj.RTPartition[q[0]].Core; c < 0 || c >= p.M {
+				return nil, fmt.Errorf("tasksetio: result places real-time task %q on core %d outside [0,%d)", t.Name, c, p.M)
+			}
 			res.RTPartition[i] = rj.RTPartition[q[0]].Core
 			rtByName[t.Name] = q[1:]
 		}
@@ -136,23 +138,4 @@ func EncodeResult(w io.Writer, p *Problem, res *core.Result) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(ResultToJSON(p, res))
-}
-
-// DecodeResult parses a ResultJSON document.
-func DecodeResult(r io.Reader) (*ResultJSON, error) {
-	var rj ResultJSON
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rj); err != nil {
-		return nil, fmt.Errorf("tasksetio: parse result: %w", err)
-	}
-	return &rj, nil
-}
-
-// SortTasksCanonical sorts the result's per-task entries into the canonical
-// name order used by the allocation service, making encodings comparable
-// regardless of the originating taskset ordering.
-func (rj *ResultJSON) SortTasksCanonical() {
-	sort.SliceStable(rj.Tasks, func(a, b int) bool { return rj.Tasks[a].Name < rj.Tasks[b].Name })
-	sort.SliceStable(rj.RTPartition, func(a, b int) bool { return rj.RTPartition[a].Name < rj.RTPartition[b].Name })
 }

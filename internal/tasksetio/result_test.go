@@ -2,7 +2,10 @@ package tasksetio
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,13 +43,21 @@ func allocateSample(t *testing.T) (*Problem, *core.Result) {
 	return p, res
 }
 
+// decodeResult parses a ResultJSON document, refusing unknown fields.
+func decodeResult(r io.Reader) (*ResultJSON, error) {
+	var rj ResultJSON
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return &rj, dec.Decode(&rj)
+}
+
 func TestResultRoundTrip(t *testing.T) {
 	p, res := allocateSample(t)
 	var buf bytes.Buffer
 	if err := EncodeResult(&buf, p, res); err != nil {
 		t.Fatal(err)
 	}
-	rj, err := DecodeResult(bytes.NewReader(buf.Bytes()))
+	rj, err := decodeResult(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +91,7 @@ func TestResultRoundTripUnschedulable(t *testing.T) {
 	if err := EncodeResult(&buf, p, res); err != nil {
 		t.Fatal(err)
 	}
-	rj, err := DecodeResult(&buf)
+	rj, err := decodeResult(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +107,8 @@ func TestResultRoundTripUnschedulable(t *testing.T) {
 func TestResultToResultByNameReordering(t *testing.T) {
 	p, res := allocateSample(t)
 	rj := ResultToJSON(p, res)
-	rj.SortTasksCanonical() // "bro" before "tw": different order than input
+	slices.Reverse(rj.Tasks) // "bro" before "tw": different order than input
+	slices.Reverse(rj.RTPartition)
 	back, err := rj.ToResult(p)
 	if err != nil {
 		t.Fatal(err)

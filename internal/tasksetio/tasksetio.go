@@ -111,10 +111,15 @@ func withCap[T any](n int) []T {
 	return make([]T, 0, n)
 }
 
-// Partition returns the document's fixed partition, or computes one with the
-// heuristic when the document left it open.
+// Partition returns the document's fixed partition once every core of it
+// passes exact RTA, or computes one with the heuristic when the document left
+// it open.
 func (p *Problem) Partition(h partition.Heuristic) ([]int, error) {
 	if p.RTPartition != nil {
+		pinned := partition.Partition{M: p.M, CoreOf: p.RTPartition}
+		if err := pinned.Validate(p.RT); err != nil {
+			return nil, err
+		}
 		return p.RTPartition, nil
 	}
 	part, err := partition.PartitionRT(p.RT, p.M, h)
