@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -515,6 +516,15 @@ func TestVerifyCatchesViolations(t *testing.T) {
 	bad4.Periods = []rts.Time{}
 	if err := Verify(in, &bad4); err == nil {
 		t.Fatal("length mismatch must fail verification")
+	}
+	// Tamper: the result's own RT partition puts rt1 outside the platform.
+	for _, c := range []int{2, -1} {
+		bad5 := *r
+		bad5.RTPartition = []int{0, c}
+		want := fmt.Sprintf(`real-time task "rt1" on invalid core %d`, c)
+		if err := Verify(in, &bad5); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("RT partition core %d: err = %v, want one containing %q", c, err, want)
+		}
 	}
 }
 

@@ -12,8 +12,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"hydra/internal/partition"
@@ -135,15 +137,15 @@ func SecurityPriorityOrder(sec []rts.SecurityTask) []int {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		sa, sb := sec[order[a]], sec[order[b]]
-		if sa.TMax != sb.TMax {
-			return sa.TMax < sb.TMax
+	slices.SortStableFunc(order, func(a, b int) int {
+		sa, sb := &sec[a], &sec[b]
+		if c := cmp.Compare(sa.TMax, sb.TMax); c != 0 {
+			return c
 		}
-		if sa.Name != sb.Name {
-			return sa.Name < sb.Name
+		if c := strings.Compare(sa.Name, sb.Name); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
 	return order
 }
@@ -218,6 +220,26 @@ func EffectiveInput(in *Input, r *Result) *Input {
 	return out
 }
 
+// verifiable returns EffectiveInput(in, r) once the checks Verify and
+// VerifyExact share pass: r is schedulable, covers every security task, and
+// its effective partition puts every real-time task on a core in [0, M),
+// so that no per-core state is indexed out of range.
+func verifiable(in *Input, r *Result) (*Input, error) {
+	in = EffectiveInput(in, r)
+	if !r.Schedulable {
+		return nil, fmt.Errorf("core: cannot verify an unschedulable result (%s)", r.Reason)
+	}
+	if len(r.Assignment) != len(in.Sec) || len(r.Periods) != len(in.Sec) {
+		return nil, fmt.Errorf("core: result covers %d/%d tasks, want %d", len(r.Assignment), len(r.Periods), len(in.Sec))
+	}
+	for i, c := range in.RTPartition {
+		if c < 0 || c >= in.M {
+			return nil, fmt.Errorf("core: real-time task %q on invalid core %d", in.RT[i].Name, c)
+		}
+	}
+	return in, nil
+}
+
 // Verify checks that a schedulable result satisfies every model constraint:
 // exactly one core per task, periods within [TDes, TMax], and the Eq. (6)
 // schedulability test Cs + I_s <= Ts on every core with the linear
@@ -227,12 +249,9 @@ func EffectiveInput(in *Input, r *Result) *Input {
 // exact RTA: the real-time side is VerifyExact's, or partition.Validate's. It
 // returns nil for a valid result.
 func Verify(in *Input, r *Result) error {
-	in = EffectiveInput(in, r)
-	if !r.Schedulable {
-		return fmt.Errorf("core: cannot verify an unschedulable result (%s)", r.Reason)
-	}
-	if len(r.Assignment) != len(in.Sec) || len(r.Periods) != len(in.Sec) {
-		return fmt.Errorf("core: result covers %d/%d tasks, want %d", len(r.Assignment), len(r.Periods), len(in.Sec))
+	in, err := verifiable(in, r)
+	if err != nil {
+		return err
 	}
 	for i, s := range in.Sec {
 		if c := r.Assignment[i]; c < 0 || c >= in.M {

@@ -22,12 +22,9 @@ import (
 // same interference summation order as the historical slice-building code),
 // so repeated verification allocates nothing in steady state.
 func VerifyExact(in *Input, r *Result) error {
-	in = EffectiveInput(in, r)
-	if !r.Schedulable {
-		return fmt.Errorf("core: cannot verify an unschedulable result (%s)", r.Reason)
-	}
-	if len(r.Assignment) != len(in.Sec) || len(r.Periods) != len(in.Sec) {
-		return fmt.Errorf("core: result covers %d/%d tasks, want %d", len(r.Assignment), len(r.Periods), len(in.Sec))
+	in, err := verifiable(in, r)
+	if err != nil {
+		return err
 	}
 	st := rts.AcquireAnalysisState(in.M)
 	defer rts.ReleaseAnalysisState(st)

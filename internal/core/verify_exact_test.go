@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -47,6 +48,14 @@ func TestVerifyExactRejectsOverload(t *testing.T) {
 	badCore := &Result{Schedulable: true, Assignment: []int{9}, Periods: []rts.Time{100}}
 	if err := VerifyExact(in, badCore); err == nil {
 		t.Fatal("invalid core must be rejected")
+	}
+	// The result's own RT partition puts rt1 outside the platform.
+	for _, c := range []int{2, -1} {
+		badRT := &Result{Schedulable: true, Assignment: []int{1}, Periods: []rts.Time{1000}, RTPartition: []int{0, c}}
+		want := fmt.Sprintf(`real-time task "rt1" on invalid core %d`, c)
+		if err := VerifyExact(in, badRT); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("RT partition core %d: err = %v, want one containing %q", c, err, want)
+		}
 	}
 	// A partition that overloads a core fails on its real-time side, even
 	// with the security task alone on the other core.

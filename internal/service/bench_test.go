@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
 	"hydra/internal/stats"
+	"hydra/internal/taskgen"
 	"hydra/internal/tasksetio"
 )
 
@@ -28,13 +30,13 @@ func benchDoc(i int) string {
 	}}`, 10000+i)
 }
 
-func benchRequest(b *testing.B, h http.Handler, body string) {
-	b.Helper()
+func benchRequest(tb testing.TB, h http.Handler, body string) {
+	tb.Helper()
 	req := httptest.NewRequest(http.MethodPost, "/v1/allocate", strings.NewReader(body))
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
-		b.Fatalf("status %d: %s", w.Code, w.Body)
+		tb.Fatalf("status %d: %s", w.Code, w.Body)
 	}
 }
 
@@ -51,6 +53,69 @@ func BenchmarkServeAllocateCold(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		benchRequest(b, h, benchDoc(i))
+	}
+}
+
+// TestAllocateColdAllocs pins the allocations of a cache-missing allocate
+// of benchDoc through the full handler chain, tracing off, the test
+// request, recorder and body included. Encoding the result with
+// encoding/json cost 74.
+func TestAllocateColdAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector runtime allocates; counts only meaningful without -race")
+	}
+	h := newServer(t).Handler()
+	i := 0
+	serve := func() {
+		i++
+		benchRequest(t, h, benchDoc(i))
+	}
+	serve() // warm the pools
+	if allocs := testing.AllocsPerRun(200, serve); allocs > 59 {
+		t.Fatalf("cold allocate = %.1f allocs/op, budget 59: the result fell back to encoding/json, or tracing leaked onto the untraced path", allocs)
+	}
+}
+
+// BenchmarkServeAllocateColdTaskgen is BenchmarkServeAllocateCold on
+// taskgen problems: 256 problems on M = 8 cores at U = 0.55·M, request i
+// sending problem i mod 256 with its first security task renamed cold<i>, so
+// that every request misses the cache. Their requests average 7.2 KB and
+// their answers 6.5 KB, where benchDoc's answer is under 1 KB.
+func BenchmarkServeAllocateColdTaskgen(b *testing.B) {
+	const m = 8
+	type template struct{ head, tail string } // the body around the name
+	var pool []template
+	for stream := int64(0); len(pool) < 256; stream++ {
+		w, err := taskgen.Generate(taskgen.DefaultParams(m, 0.55*m), stats.Split(8, stream))
+		if err != nil {
+			continue
+		}
+		doc := tasksetio.Document{Cores: m}
+		for _, t := range w.RT {
+			doc.RTTasks = append(doc.RTTasks, tasksetio.RTTaskJSON{Name: t.Name, WCET: t.C, Period: t.T})
+		}
+		for _, s := range w.Sec {
+			doc.SecurityTasks = append(doc.SecurityTasks, tasksetio.SecurityTaskJSON{Name: s.Name, WCET: s.C, DesiredPeriod: s.TDes, MaxPeriod: s.TMax})
+		}
+		doc.SecurityTasks[0].Name = "cold"
+		body, err := json.Marshal(AllocateRequest{Taskset: doc})
+		if err != nil {
+			b.Fatal(err)
+		}
+		head, tail, _ := strings.Cut(string(body), `"cold"`)
+		pool = append(pool, template{head + `"cold`, `"` + tail})
+	}
+	s, err := New(Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := pool[i%len(pool)]
+		benchRequest(b, h, t.head+strconv.Itoa(i)+t.tail)
 	}
 }
 

@@ -328,59 +328,57 @@ type errorResponse struct {
 }
 
 // respBufPool recycles response-encoding buffers: every JSON response is
-// built in a pooled buffer, by an encoder or by writeRendered, instead of
-// MarshalIndent allocating a fresh (and internally doubled) one per request.
+// built in a pooled buffer, by writeJSON's encoder or by renderPooled,
+// instead of MarshalIndent allocating a fresh (and internally doubled) one
+// per request.
 var respBufPool = sync.Pool{New: func() any {
 	respBufNews.Add(1)
 	return new(bytes.Buffer)
 }}
 
-// encodeJSON renders v in the service's uniform shape (two-space indent,
-// trailing newline — byte-identical to the historical MarshalIndent path)
-// into a pooled buffer. The caller must releaseBuf it after use.
-func encodeJSON(v any) (*bytes.Buffer, error) {
+// writeJSON answers with v in the service's uniform shape (two-space
+// indent, trailing newline — byte-identical to the historical MarshalIndent
+// path), encoded through a pooled buffer.
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	respBufGets.Add(1)
 	buf := respBufPool.Get().(*bytes.Buffer)
+	defer respBufPool.Put(buf)
 	buf.Reset()
 	enc := json.NewEncoder(buf)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
-		respBufPool.Put(buf)
-		return nil, err
-	}
-	return buf, nil
-}
-
-func releaseBuf(buf *bytes.Buffer) { respBufPool.Put(buf) }
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	buf, err := encodeJSON(v)
-	if err != nil {
 		writeEncodeError(w)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_, _ = w.Write(buf.Bytes())
-	releaseBuf(buf)
 }
 
-// writeRendered answers with the document render appends to an empty
-// slice, in writeJSON's shape, through a pooled buffer and without
-// reflection. render reports false for a document holding a NaN or infinite
-// float, which gets the 500 writeJSON gives for a value encoding/json
-// refuses. render takes and returns the slice rather than a
-// tasksetio.JSONWriter so that the writer stays on its caller's stack. The
-// rendering is traced as the encode span and the body write as write-body.
-func writeRendered(w http.ResponseWriter, tr *obs.Trace, code int, render func(b []byte) ([]byte, bool)) {
+// renderPooled renders, in writeJSON's shape and without reflection, the
+// document render appends to an empty slice, into a pooled buffer the
+// caller must respBufPool.Put. render reports false, and renderPooled
+// passes on, a document holding a NaN or infinite float, which
+// encoding/json refuses. render takes and returns the slice rather than a
+// tasksetio.JSONWriter so that the writer stays on its caller's stack.
+func renderPooled(render func(b []byte) ([]byte, bool)) (*bytes.Buffer, bool) {
 	respBufGets.Add(1)
 	buf := respBufPool.Get().(*bytes.Buffer)
-	defer respBufPool.Put(buf)
 	buf.Reset()
-	sp := tr.StartSpan("encode")
 	b, ok := render(buf.AvailableBuffer())
 	// Writing the rendered bytes back keeps a grown slice for the next use.
 	buf.Write(append(b, '\n'))
+	return buf, ok
+}
+
+// writeRendered answers with renderPooled's document. A document render
+// reports not OK gets the 500 writeJSON gives for a value encoding/json
+// refuses. The rendering is traced as the encode span and the body write as
+// write-body.
+func writeRendered(w http.ResponseWriter, tr *obs.Trace, code int, render func(b []byte) ([]byte, bool)) {
+	sp := tr.StartSpan("encode")
+	buf, ok := renderPooled(render)
+	defer respBufPool.Put(buf)
 	sp.End()
 	if !ok {
 		writeEncodeError(w)
@@ -525,14 +523,17 @@ func computeAllocation(canon *tasksetio.Problem, alloc core.Allocator, h partiti
 			}
 		}
 	}
-	buf, err := encodeJSON(tasksetio.ResultToJSON(canon, res))
-	if err != nil {
-		return nil, err
+	buf, ok := renderPooled(func(b []byte) ([]byte, bool) {
+		jw := tasksetio.JSONWriter{Buf: b}
+		jw.Result(tasksetio.ResultToJSON(canon, res))
+		return jw.Buf, jw.OK()
+	})
+	defer respBufPool.Put(buf)
+	if !ok {
+		return nil, errors.New("encode response: the result holds a NaN or infinite float")
 	}
 	// The body escapes into the cache, so copy it out of the pooled buffer.
-	body := append([]byte(nil), buf.Bytes()...)
-	releaseBuf(buf)
-	return body, nil
+	return append([]byte(nil), buf.Bytes()...), nil
 }
 
 func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"hydra/internal/core"
+	"hydra/internal/partition"
 	"hydra/internal/tasksetio"
 )
 
@@ -248,6 +250,29 @@ func TestAllocateInfeasibleIsAVerdict(t *testing.T) {
 	free := post(t, s, "/v1/allocate", allocateBody(unpinned, `"scheme": "singlecore"`))
 	if pinned.Code != http.StatusOK || !bytes.Equal(pinned.Body.Bytes(), free.Body.Bytes()) {
 		t.Fatalf("singlecore: pinned answer (%d)\n%s\ndiffers from the unpinned one\n%s", pinned.Code, pinned.Body, free.Body)
+	}
+}
+
+// nanAllocator answers unschedulable with a NaN cumulative tightness, a
+// document encoding/json refuses.
+type nanAllocator struct{}
+
+func (nanAllocator) Name() string { return "nan" }
+
+func (nanAllocator) Allocate(*core.Input) *core.Result {
+	return &core.Result{Scheme: "nan", Reason: "test", Cumulative: math.NaN()}
+}
+
+// TestComputeAllocationRefusesNonFinite: a result document the writer
+// reports not OK is an error, which allocate answers with a 500 and the
+// cache does not keep (TestCacheErrorNotCached).
+func TestComputeAllocationRefusesNonFinite(t *testing.T) {
+	p, err := tasksetio.Decode(strings.NewReader(sampleTaskset))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body, err := computeAllocation(p.Canonical(), nanAllocator{}, partition.BestFit); err == nil {
+		t.Fatalf("a NaN cumulative tightness rendered as\n%s", body)
 	}
 }
 

@@ -59,12 +59,13 @@ func systemJSON(snap online.Snapshot) SystemJSON {
 // referenceBody is the body writeJSON sends for v, or nil when encoding/json
 // refuses v.
 func referenceBody(v any) []byte {
-	buf, err := encodeJSON(v)
-	if err != nil {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
 		return nil
 	}
-	defer releaseBuf(buf)
-	return bytes.Clone(buf.Bytes())
+	return buf.Bytes()
 }
 
 // renderBody is the body a system route sends for the document render

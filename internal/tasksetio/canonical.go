@@ -1,7 +1,9 @@
 package tasksetio
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"hydra/internal/rts"
 )
@@ -30,22 +32,21 @@ func (p *Problem) Canonical() *Problem {
 		}
 		return 0
 	}
-	sort.SliceStable(rtOrder, func(a, b int) bool {
-		ia, ib := rtOrder[a], rtOrder[b]
-		ta, tb := p.RT[ia], p.RT[ib]
-		if ta.Name != tb.Name {
-			return ta.Name < tb.Name
+	slices.SortStableFunc(rtOrder, func(ia, ib int) int {
+		ta, tb := &p.RT[ia], &p.RT[ib]
+		if c := strings.Compare(ta.Name, tb.Name); c != 0 {
+			return c
 		}
-		if ta.T != tb.T {
-			return ta.T < tb.T
+		if c := cmp.Compare(ta.T, tb.T); c != 0 {
+			return c
 		}
-		if ta.C != tb.C {
-			return ta.C < tb.C
+		if c := cmp.Compare(ta.C, tb.C); c != 0 {
+			return c
 		}
-		if ta.D != tb.D {
-			return ta.D < tb.D
+		if c := cmp.Compare(ta.D, tb.D); c != 0 {
+			return c
 		}
-		return coreOf(ia) < coreOf(ib)
+		return cmp.Compare(coreOf(ia), coreOf(ib))
 	})
 	for _, i := range rtOrder {
 		c.RT = append(c.RT, p.RT[i])
@@ -61,21 +62,21 @@ func (p *Problem) Canonical() *Problem {
 	for i := range secOrder {
 		secOrder[i] = i
 	}
-	sort.SliceStable(secOrder, func(a, b int) bool {
-		sa, sb := p.Sec[secOrder[a]], p.Sec[secOrder[b]]
-		if sa.Name != sb.Name {
-			return sa.Name < sb.Name
+	slices.SortStableFunc(secOrder, func(a, b int) int {
+		sa, sb := &p.Sec[a], &p.Sec[b]
+		if c := strings.Compare(sa.Name, sb.Name); c != 0 {
+			return c
 		}
-		if sa.TMax != sb.TMax {
-			return sa.TMax < sb.TMax
+		if c := cmp.Compare(sa.TMax, sb.TMax); c != 0 {
+			return c
 		}
-		if sa.TDes != sb.TDes {
-			return sa.TDes < sb.TDes
+		if c := cmp.Compare(sa.TDes, sb.TDes); c != 0 {
+			return c
 		}
-		if sa.C != sb.C {
-			return sa.C < sb.C
+		if c := cmp.Compare(sa.C, sb.C); c != 0 {
+			return c
 		}
-		return sa.EffectiveWeight() < sb.EffectiveWeight()
+		return cmp.Compare(sa.EffectiveWeight(), sb.EffectiveWeight())
 	})
 	for _, i := range secOrder {
 		s := p.Sec[i]

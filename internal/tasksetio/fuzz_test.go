@@ -38,9 +38,11 @@ func FuzzDecode(f *testing.F) {
 
 // FuzzAppendJSON checks the JSON primitives against encoding/json: for any
 // string and any float64 bit pattern, each appends exactly the bytes
-// json.Marshal returns, or both fail. The committed corpus seeds NaN, the
-// infinities, -0, a subnormal, the 'e'-form cutoffs, invalid UTF-8,
-// U+2028, HTML characters and control characters.
+// json.Marshal returns, or both fail. So does JSONWriter.Result on a
+// one-task result document whose names and reason are the string and whose
+// floats are the float64. The committed corpus seeds NaN, the infinities,
+// -0, a subnormal, the 'e'-form cutoffs, invalid UTF-8, U+2028, HTML
+// characters and control characters.
 func FuzzAppendJSON(f *testing.F) {
 	// Each primitive appends to a fresh copy of prefix, so what it leaves
 	// before its output is checked too.
@@ -63,6 +65,19 @@ func FuzzAppendJSON(f *testing.F) {
 			t.Fatalf("appendFloat(%v) = %q, json.Marshal = %q", x, got, want)
 		case !ok && string(got) != prefix:
 			t.Fatalf("appendFloat(%v) failed but appended to %q", x, got)
+		}
+		rj := &ResultJSON{
+			Scheme: "hydra", Schedulable: true, Reason: s, CumulativeTightness: x,
+			Tasks:       []TaskResultJSON{{Name: s, Core: 1, PeriodMS: x, Tightness: x, Accepted: true}},
+			RTPartition: []RTPlacementJSON{{Name: s, Core: 0}},
+		}
+		want, err = referenceResult(rj)
+		got, ok = renderResult(rj)
+		switch {
+		case ok != (err == nil):
+			t.Fatalf("result document of %q, %v: ok = %t, encoding/json error = %v", s, x, ok, err)
+		case ok && string(got) != string(want):
+			t.Fatalf("result document of %q, %v:\n%s\nencoding/json:\n%s", s, x, got, want)
 		}
 	})
 }

@@ -134,6 +134,9 @@ func (w *JSONWriter) Float(f float64) {
 	w.nonFinite = w.nonFinite || !ok
 }
 
+// Bool writes a bool.
+func (w *JSONWriter) Bool(v bool) { w.Buf = strconv.AppendBool(w.Buf, v) }
+
 // Int writes an int.
 func (w *JSONWriter) Int(i int) { w.Buf = strconv.AppendInt(w.Buf, int64(i), 10) }
 
@@ -171,4 +174,42 @@ func (w *JSONWriter) PlacedSecurity(t rts.SecurityTask, core int, period float64
 	}
 	w.Key("core").Int(core)
 	w.Key("period_ms").Float(period)
+}
+
+// Result writes the result document: the bytes encoding/json gives rj, with
+// reason, tasks and rt_partition left out where omitempty leaves them out.
+// It is the one renderer of the /v1/allocate body and of hydra -json.
+func (w *JSONWriter) Result(rj *ResultJSON) {
+	w.BeginObject()
+	w.Key("scheme").String(rj.Scheme)
+	w.Key("schedulable").Bool(rj.Schedulable)
+	if rj.Reason != "" {
+		w.Key("reason").String(rj.Reason)
+	}
+	w.Key("cumulative_tightness").Float(rj.CumulativeTightness)
+	if len(rj.Tasks) > 0 {
+		w.Key("tasks").BeginArray()
+		for i := range rj.Tasks {
+			t := &rj.Tasks[i]
+			w.Elem().BeginObject()
+			w.Key("name").String(t.Name)
+			w.Key("core").Int(t.Core)
+			w.Key("period_ms").Float(t.PeriodMS)
+			w.Key("tightness").Float(t.Tightness)
+			w.Key("accepted").Bool(t.Accepted)
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	if len(rj.RTPartition) > 0 {
+		w.Key("rt_partition").BeginArray()
+		for _, t := range rj.RTPartition {
+			w.Elem().BeginObject()
+			w.Key("name").String(t.Name)
+			w.Key("core").Int(t.Core)
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	w.EndObject()
 }

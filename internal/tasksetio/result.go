@@ -1,7 +1,7 @@
 package tasksetio
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -30,7 +30,9 @@ type RTPlacementJSON struct {
 // ResultJSON is the interchange encoding of a core.Result — the response body
 // of the allocation service and the -json output of cmd/hydra. Per-task
 // entries carry task names so the document is meaningful independent of the
-// ordering of the taskset it was computed from.
+// ordering of the taskset it was computed from. JSONWriter.Result renders
+// it without reflection, so its members and tags change together with that
+// method.
 type ResultJSON struct {
 	Scheme              string            `json:"scheme"`
 	Schedulable         bool              `json:"schedulable"`
@@ -51,6 +53,7 @@ func ResultToJSON(p *Problem, res *core.Result) *ResultJSON {
 		CumulativeTightness: res.Cumulative,
 	}
 	if res.Schedulable {
+		rj.Tasks = make([]TaskResultJSON, 0, len(p.Sec))
 		for i, s := range p.Sec {
 			rj.Tasks = append(rj.Tasks, TaskResultJSON{
 				Name:      s.Name,
@@ -65,6 +68,7 @@ func ResultToJSON(p *Problem, res *core.Result) *ResultJSON {
 			part = p.RTPartition
 		}
 		if len(part) == len(p.RT) {
+			rj.RTPartition = make([]RTPlacementJSON, 0, len(p.RT))
 			for i, t := range p.RT {
 				rj.RTPartition = append(rj.RTPartition, RTPlacementJSON{Name: t.Name, Core: part[i]})
 			}
@@ -133,9 +137,15 @@ func (rj *ResultJSON) ToResult(p *Problem) (*core.Result, error) {
 	return res, nil
 }
 
-// EncodeResult writes the result as indented JSON.
+// EncodeResult writes the result document as the service sends it:
+// JSONWriter.Result's rendering and a newline. It refuses a result holding a
+// NaN or infinite float, as encoding/json does.
 func EncodeResult(w io.Writer, p *Problem, res *core.Result) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ResultToJSON(p, res))
+	var jw JSONWriter
+	jw.Result(ResultToJSON(p, res))
+	if !jw.OK() {
+		return errors.New("tasksetio: result holds a NaN or infinite float")
+	}
+	_, err := w.Write(append(jw.Buf, '\n'))
+	return err
 }

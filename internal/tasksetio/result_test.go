@@ -11,6 +11,8 @@ import (
 
 	"hydra/internal/core"
 	"hydra/internal/partition"
+	"hydra/internal/stats"
+	"hydra/internal/taskgen"
 )
 
 const resultSampleDoc = `{
@@ -173,5 +175,98 @@ func TestBuildInputSelfPartitioningFallback(t *testing.T) {
 	}
 	if _, err := BuildInput(p, core.MustLookup("singlecore"), partition.BestFit); err != nil {
 		t.Fatalf("singlecore must run on the placeholder partition: %v", err)
+	}
+}
+
+// referenceResult is the result document as encoding/json writes it, the
+// reference JSONWriter.Result must match: json.Encoder with
+// SetIndent("", "  ") applied to rj, trailing newline included.
+func referenceResult(rj *ResultJSON) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	err := enc.Encode(rj)
+	return buf.Bytes(), err
+}
+
+// renderResult is the result document as EncodeResult and the service
+// write it, with the writer's verdict.
+func renderResult(rj *ResultJSON) ([]byte, bool) {
+	var jw JSONWriter
+	jw.Result(rj)
+	return append(jw.Buf, '\n'), jw.OK()
+}
+
+// TestResultRenderMatchesEncodingJSON pins JSONWriter.Result and
+// EncodeResult to the encoding/json rendering of ResultToJSON over a taskgen
+// corpus: M in {2, 4, 8}, U from 0.3·M to 1.2·M (so some answers are
+// unschedulable, with a reason), every registered scheme, the four
+// heuristics, and each problem both left to the heuristic and pinned to its
+// partition. singlecore answers with a partition of its own, which the
+// document records.
+func TestResultRenderMatchesEncodingJSON(t *testing.T) {
+	heuristics := []partition.Heuristic{partition.BestFit, partition.FirstFit, partition.WorstFit, partition.NextFit}
+	var docs, schedulable, unschedulable, pinned, ownPartition int
+	for _, m := range []int{2, 4, 8} {
+		for step := 0; step < 4; step++ {
+			u := (0.3 + 0.3*float64(step)) * float64(m)
+			w, err := taskgen.Generate(taskgen.DefaultParams(m, u), stats.Split(int64(m), int64(step)))
+			if err != nil {
+				t.Fatalf("M=%d U=%g: %v", m, u, err)
+			}
+			for _, h := range heuristics {
+				pins := [][]int{nil}
+				if part, err := (&Problem{M: m, RT: w.RT, Sec: w.Sec}).Partition(h); err == nil {
+					pins = append(pins, part)
+					pinned++
+				}
+				for _, pin := range pins {
+					for _, name := range core.Names() {
+						// Kept fast: opt enumerates M^NS assignments, which at
+						// M = 4 falls just under its cap of 2^20 and takes
+						// seconds (at M = 8 it answers at once past the cap),
+						// and a GP-solver scheme takes 40-200 ms a problem.
+						if strings.HasPrefix(name, "opt") && m == 4 ||
+							strings.HasSuffix(name, "-gp") && (h != partition.BestFit || pin != nil) {
+							continue
+						}
+						// BuildInput records the heuristic's partition in p.
+						p := &Problem{M: m, RT: w.RT, Sec: w.Sec, RTPartition: pin}
+						alloc := core.MustLookup(name)
+						var res *core.Result
+						if in, err := BuildInput(p, alloc, h); err != nil {
+							res = &core.Result{Scheme: name, Reason: err.Error()}
+						} else {
+							res = alloc.Allocate(in)
+						}
+						rj := ResultToJSON(p, res)
+						want, err := referenceResult(rj)
+						if err != nil {
+							t.Fatalf("%s M=%d U=%g %s: encoding/json: %v", name, m, u, h, err)
+						}
+						if got, ok := renderResult(rj); !ok || !bytes.Equal(got, want) {
+							t.Fatalf("%s M=%d U=%g %s: ok = %t, render\n%s\nencoding/json\n%s", name, m, u, h, ok, got, want)
+						}
+						var buf bytes.Buffer
+						if err := EncodeResult(&buf, p, res); err != nil || !bytes.Equal(buf.Bytes(), want) {
+							t.Fatalf("%s M=%d U=%g %s: EncodeResult = %v\n%s\nwant\n%s", name, m, u, h, err, buf.Bytes(), want)
+						}
+						docs++
+						if res.Schedulable {
+							schedulable++
+						} else {
+							unschedulable++
+						}
+						if res.Schedulable && name == "singlecore" && !slices.Equal(res.RTPartition, p.RTPartition) {
+							ownPartition++
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d documents: %d schedulable, %d unschedulable, %d pinned problems, %d with singlecore's own partition", docs, schedulable, unschedulable, pinned, ownPartition)
+	if schedulable == 0 || unschedulable == 0 || pinned == 0 || ownPartition == 0 {
+		t.Fatal("the corpus must hold schedulable and unschedulable answers, pinned problems and singlecore partitions")
 	}
 }
