@@ -3,7 +3,8 @@
 // beyond it — has the same shape: a large grid of independent cells
 // (scheme × platform size × taskset draw), each cheap to evaluate, whose
 // results are aggregated into figures. Run executes such a grid on a bounded
-// worker pool while guaranteeing that the output is byte-identical regardless
+// worker pool, each worker taking the next cell index from one shared atomic
+// counter, while guaranteeing that the output is byte-identical regardless
 // of worker count or goroutine scheduling:
 //
 //   - every cell receives its own RNG, derived from the run seed and the
@@ -43,9 +44,11 @@ type Options struct {
 	Stream func(idx int) int64
 	// Precomputed, when non-nil, supplies results for cells that were
 	// already evaluated (e.g. replayed from a campaign checkpoint). A cell
-	// for which it returns ok is not scheduled onto a worker and keeps the
-	// supplied value; the value must have the Run's result type R, or the
-	// cell fails with an error. Because every cell draws its RNG from the
+	// for which it returns ok is not evaluated and keeps the supplied value;
+	// the value must have the Run's result type R, or the cell fails with an
+	// error. It is called from the worker goroutines, at most once per cell
+	// and in no fixed order, so calls may be concurrent and the callback must
+	// synchronize internally. Because every cell draws its RNG from the
 	// run seed and its own stream label — never from shared state — skipping
 	// cells cannot perturb the draws of the cells that do run, which is what
 	// makes checkpoint/resume byte-identical to an uninterrupted run.
@@ -76,9 +79,7 @@ func Run[C, R any](ctx context.Context, cells []C, fn func(ctx context.Context, 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
+	workers = min(workers, len(cells))
 	stream := opts.Stream
 	if stream == nil {
 		stream = func(idx int) int64 { return int64(idx) }
@@ -91,8 +92,6 @@ func Run[C, R any](ctx context.Context, cells []C, fn func(ctx context.Context, 
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 
-	feedCtx, stopFeed := context.WithCancel(ctx)
-	defer stopFeed()
 	var failed atomic.Int64 // lowest failed cell index so far
 	failed.Store(int64(len(cells)))
 	fail := func(idx int) {
@@ -101,24 +100,35 @@ func Run[C, R any](ctx context.Context, cells []C, fn func(ctx context.Context, 
 				break
 			}
 		}
-		stopFeed()
 	}
 
 	results := make([]R, len(cells))
 	errs := make([]error, len(cells))
-	idxCh := make(chan int)
+	var next atomic.Int64 // next cell index to hand out
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for idx := range idxCh {
-				// Re-check per cell: the feed's send can race with its stop,
-				// so a stopped run may still hand out queued cells. Skipping
-				// them guarantees no cell *starts* after cancellation, while a
-				// cell below a failed one still runs: the lowest failure wins.
-				if ctx.Err() != nil || int64(idx) > failed.Load() {
-					continue
+			for {
+				// Indices go out in increasing order and failed only falls, so
+				// no cell starts after cancellation or above the lowest
+				// failure, while cells below it still run. Each index has one
+				// owner, so the writes below race with nothing.
+				idx := int(next.Add(1) - 1)
+				if idx >= len(cells) || ctx.Err() != nil || int64(idx) > failed.Load() {
+					return
+				}
+				if opts.Precomputed != nil {
+					if v, ok := opts.Precomputed(idx); ok {
+						if r, ok := v.(R); ok {
+							results[idx] = r
+						} else {
+							errs[idx] = fmt.Errorf("precomputed result has type %T, want %T", v, results[idx])
+							fail(idx)
+						}
+						continue
+					}
 				}
 				rng := stats.VersionedRNG(version, opts.Seed, stream(idx))
 				r, err := fn(ctx, idx, rng, cells[idx])
@@ -134,29 +144,6 @@ func Run[C, R any](ctx context.Context, cells []C, fn func(ctx context.Context, 
 			}
 		}()
 	}
-
-feed:
-	for i := range cells {
-		if opts.Precomputed != nil {
-			if v, ok := opts.Precomputed(i); ok {
-				// Writes race with nothing: each index is owned either by
-				// the feed (precomputed) or by exactly one worker (fresh).
-				if r, ok := v.(R); ok {
-					results[i] = r
-				} else {
-					errs[i] = fmt.Errorf("precomputed result has type %T, want %T", v, results[i])
-					fail(i)
-				}
-				continue
-			}
-		}
-		select {
-		case idxCh <- i:
-		case <-feedCtx.Done():
-			break feed
-		}
-	}
-	close(idxCh)
 	wg.Wait()
 
 	for i, err := range errs {

@@ -231,14 +231,19 @@ func TestRunPrecomputedAndOnCell(t *testing.T) {
 
 	var mu sync.Mutex
 	fresh := map[int]int{}
+	consulted := map[int]int{}
 	var executed atomic.Int64
 	out, err := Run(context.Background(), cells, func(ctx context.Context, idx int, rng *rand.Rand, cell int) (int, error) {
 		executed.Add(1)
 		return fn(ctx, idx, rng, cell)
 	}, Options{
-		Workers: 4,
+		Workers: 8,
 		Seed:    1,
 		Precomputed: func(idx int) (any, bool) {
+			// Workers call Precomputed concurrently.
+			mu.Lock()
+			consulted[idx]++
+			mu.Unlock()
 			if idx%3 == 0 {
 				return idx * 10, true // what the cell would have computed
 			}
@@ -270,6 +275,11 @@ func TestRunPrecomputedAndOnCell(t *testing.T) {
 	if len(fresh) != wantFresh {
 		t.Fatalf("OnCell fired for %d cells, want %d", len(fresh), wantFresh)
 	}
+	for i := range cells {
+		if consulted[i] != 1 {
+			t.Fatalf("Precomputed consulted %d times for cell %d, want once", consulted[i], i)
+		}
+	}
 	for idx, v := range fresh {
 		if idx%3 == 0 {
 			t.Fatalf("OnCell fired for precomputed cell %d", idx)
@@ -288,12 +298,12 @@ func TestRunPrecomputedPreservesDeterminism(t *testing.T) {
 	fn := func(ctx context.Context, idx int, rng *rand.Rand, cell int) (int64, error) {
 		return rng.Int63(), nil
 	}
-	full, err := Run(context.Background(), cells, fn, Options{Workers: 4, Seed: 9})
+	full, err := Run(context.Background(), cells, fn, Options{Workers: 8, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	resumed, err := Run(context.Background(), cells, fn, Options{
-		Workers: 4, Seed: 9,
+		Workers: 8, Seed: 9,
 		Precomputed: func(idx int) (any, bool) {
 			if idx < 7 {
 				return full[idx], true
@@ -314,7 +324,7 @@ func TestRunPrecomputedTypeMismatch(t *testing.T) {
 	cells := []int{0, 1, 2}
 	_, err := Run(context.Background(), cells, func(ctx context.Context, idx int, rng *rand.Rand, cell int) (int, error) {
 		return cell, nil
-	}, Options{Workers: 2, Seed: 1, Precomputed: func(idx int) (any, bool) {
+	}, Options{Workers: 8, Seed: 1, Precomputed: func(idx int) (any, bool) {
 		if idx == 1 {
 			return "not an int", true
 		}

@@ -30,6 +30,7 @@ type Hooks struct {
 	OnCell func(idx int, encoded []byte)
 	// Resume, when non-nil, supplies the JSON encoding of an already
 	// completed cell; such cells are replayed instead of re-evaluated.
+	// Calls may come concurrently from engine workers.
 	Resume func(idx int) ([]byte, bool)
 	// ResultsVersion, when non-zero, is the RNG version pinned by the
 	// campaign manifest the spec runs under (stats.RNGVersion). A resumed

@@ -98,3 +98,54 @@ func TestReleaseFlushesMetrics(t *testing.T) {
 		t.Fatal("ReleaseAnalysisState did not flush staged counters")
 	}
 }
+
+// A refused trial checks the preempted tasks from the lowest priority up, so
+// when that task misses, the trial stages exactly one fixed point: neither
+// the arrival nor the other preempted task is analyzed.
+func TestRefusedTrialStopsAtLowestPriorityMiss(t *testing.T) {
+	st := NewAnalysisState(1)
+	for _, task := range []RTTask{
+		{Name: "a", C: 2, T: 10, D: 10},
+		{Name: "b", C: 4, T: 12, D: 12},
+	} {
+		if !st.AddRT(0, task) {
+			t.Fatalf("%s rejected", task.Name)
+		}
+	}
+	before := st.met.FixedPoints
+	// The arrival (R = 3) and a (R = 5) meet their deadlines; b's response
+	// grows 4, 9, 12, 17 and passes D = 12.
+	if st.TryAddRT(0, RTTask{Name: "x", C: 3, T: 5, D: 5}) {
+		t.Fatal("trial admitted; b misses its deadline under x")
+	}
+	if n := st.met.FixedPoints - before; n != 1 {
+		t.Fatalf("refused trial staged %d fixed points, want 1", n)
+	}
+}
+
+// The arrival is checked last but still checked: a constrained-deadline
+// arrival that misses its own deadline is refused even though every task it
+// preempts meets its own, and the refusal leaves the core unchanged.
+func TestRefusedTrialChecksArrivalLast(t *testing.T) {
+	st := NewAnalysisState(1)
+	for _, task := range []RTTask{
+		{Name: "hi", C: 2, T: 5, D: 5},
+		{Name: "lo", C: 1, T: 100, D: 100},
+	} {
+		if !st.AddRT(0, task) {
+			t.Fatalf("%s rejected", task.Name)
+		}
+	}
+	before := st.met.FixedPoints
+	// lo meets D = 100 (R = 5); the arrival's response is 4 > D = 3.
+	x := RTTask{Name: "x", C: 2, T: 20, D: 3}
+	if st.TryAddRT(0, x) {
+		t.Fatal("trial admitted an arrival that misses its own deadline")
+	}
+	if n := st.met.FixedPoints - before; n != 2 {
+		t.Fatalf("refused trial staged %d fixed points, want 2 (lo, then the arrival)", n)
+	}
+	if st.AddRT(0, x) || st.RTCount(0) != 2 {
+		t.Fatalf("AddRT committed a refused arrival: %d tasks on the core", st.RTCount(0))
+	}
+}

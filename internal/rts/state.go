@@ -193,22 +193,25 @@ func (cs *coreState) rtResponse(met *AnalysisMetrics, c, d Time, hi, insertAt in
 // with t added, without committing anything. Only t itself (cold) and the
 // committed tasks it would preempt (warm-started from their memoized
 // response times) are re-analyzed; higher-priority tasks are unaffected by
-// a lower-priority arrival.
+// a lower-priority arrival. The trial writes nothing its fixed points read,
+// so their order changes no value, and the verdict is their AND. The
+// preempted tasks go first, lowest priority up, and t last: the lowest is
+// nearly always the one that misses, so a refusal costs one warm fixed point.
 func (st *AnalysisState) TryAddRT(c int, t RTTask) bool {
 	cs := &st.cores[c]
 	cs.trial.valid = false
 	k := cs.rmInsertionIndex(t)
-	rNew, ok, _ := cs.rtResponse(&st.met, t.C, t.D, k, k, nil, t.C)
-	if !ok {
-		return false
-	}
-	cs.trial.resp = cs.trial.resp[:0]
-	for i := k; i < len(cs.rm); i++ {
+	cs.trial.resp = append(cs.trial.resp[:0], cs.resp[k:]...) // sized to rm[k:]; each entry is overwritten
+	for i := len(cs.rm) - 1; i >= k; i-- {
 		r, ok, _ := cs.rtResponse(&st.met, cs.rm[i].C, cs.rm[i].D, i, k, &t, cs.resp[i])
 		if !ok {
 			return false
 		}
-		cs.trial.resp = append(cs.trial.resp, r)
+		cs.trial.resp[i-k] = r
+	}
+	rNew, ok, _ := cs.rtResponse(&st.met, t.C, t.D, k, k, nil, t.C)
+	if !ok {
+		return false
 	}
 	cs.trial.valid, cs.trial.task, cs.trial.k, cs.trial.rNew = true, t, k, rNew
 	return true

@@ -8,19 +8,26 @@ import (
 	"hydra/internal/rts"
 )
 
-// FuzzRandFixedSum drives the simplex sampler with arbitrary shapes and
-// checks its two invariants (sum and bounds) whenever it accepts the input.
+// FuzzRandFixedSum drives the simplex sampler with arbitrary shapes. It
+// checks that the draw matches the full-table reference bit for bit, that a
+// total outside [0, n] (NaN included) is refused, and the draw's two
+// invariants (sum and bounds) whenever it accepts the input.
 func FuzzRandFixedSum(f *testing.F) {
 	f.Add(int64(1), 5, 2.0)
 	f.Add(int64(2), 1, 0.5)
 	f.Add(int64(3), 30, 29.9)
 	f.Add(int64(4), 7, 0.0)
+	f.Add(int64(5), 5, math.NaN())
 	f.Fuzz(func(t *testing.T, seed int64, n int, total float64) {
-		if n < 1 || n > 200 || math.IsNaN(total) || math.IsInf(total, 0) {
+		if n < 1 || n > 200 {
 			return
 		}
+		checkMatchesFullTable(t, seed, n, total, 0, 1)
 		rng := rand.New(rand.NewSource(seed))
 		x, err := RandFixedSum(n, total, 0, 1, rng)
+		if reachable := total >= -1e-12 && total <= float64(n)+1e-12; reachable != (err == nil) {
+			t.Fatalf("RandFixedSum(%d, %v): err = %v", n, total, err)
+		}
 		if err != nil {
 			return // out-of-range totals are correctly rejected
 		}

@@ -20,26 +20,20 @@ func RandFixedSum(n int, total, lo, hi float64, rng *rand.Rand) ([]float64, erro
 	if n <= 0 {
 		return nil, fmt.Errorf("taskgen: RandFixedSum needs n > 0, got %d", n)
 	}
-	if !(hi > lo) {
-		return nil, fmt.Errorf("taskgen: RandFixedSum needs hi > lo, got [%g,%g]", lo, hi)
+	nf := float64(n)
+	if !(hi > lo) || math.IsInf(nf*lo, 0) || math.IsInf(nf*hi, 0) {
+		return nil, fmt.Errorf("taskgen: RandFixedSum needs hi > lo with n*lo and n*hi finite, got %d values in [%g,%g]", n, lo, hi)
 	}
-	if total < float64(n)*lo-1e-12 || total > float64(n)*hi+1e-12 {
+	if !(total >= nf*lo-1e-12 && total <= nf*hi+1e-12) { // NaN fails too
 		return nil, fmt.Errorf("taskgen: sum %g unreachable with %d values in [%g,%g]", total, n, lo, hi)
 	}
 	if n == 1 {
 		return []float64{total}, nil
 	}
 
-	// Rescale to the unit cube: u = (total - n*lo)/(hi - lo) in [0, n].
-	u := (total - float64(n)*lo) / (hi - lo)
-	nf := float64(n)
-	if u < 0 {
-		u = 0
-	}
-	if u > nf {
-		u = nf
-	}
-
+	// Rescale to the unit cube, u = (total - n*lo)/(hi - lo), and clamp it to
+	// [k, k+1] for the simplex slice k in [0, n-1] that holds it.
+	u := (total - nf*lo) / (hi - lo)
 	k := math.Floor(u)
 	if k > nf-1 {
 		k = nf - 1
@@ -54,36 +48,37 @@ func RandFixedSum(n int, total, lo, hi float64, rng *rand.Rand) ([]float64, erro
 		u = k + 1
 	}
 
-	// s1[i] = u - k + i, s2[i] = k + n - i - u  (0-based translation of the
-	// MATLAB reference s1 = s-(k:-1:k-n+1), s2 = (k+n:-1:k+1)-s).
-	s1 := make([]float64, n)
-	s2 := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s1[i] = u - k + float64(i)
-		s2[i] = k + nf - float64(i) - u
-	}
-
 	// Probability table. w[i][j] follows the reference recursion scaled by
 	// "big" to retain precision; t[i][j] are the transition probabilities.
+	// The sampling walk below starts at column k+1 and only moves left, and
+	// column j of a row depends only on columns j and j-1 of the row before,
+	// so only columns 0..k+1 of w and 0..k of t are built: O(n*k), not
+	// O(n^2). Rows are capped, so an index past them still panics.
 	const big = 1e300
 	const tiny = math.SmallestNonzeroFloat64
-	w := make([][]float64, n)
+	kc := int(k) + 1 // columns of t; w has one more
+	w, wb := make([][]float64, n), make([]float64, n*(kc+1))
 	for i := range w {
-		w[i] = make([]float64, n+1)
+		w[i], wb = wb[:kc+1:kc+1], wb[kc+1:]
 	}
 	w[0][1] = big
-	t := make([][]float64, n-1)
+	t, tb := make([][]float64, n-1), make([]float64, (n-1)*kc)
 	for i := range t {
-		t[i] = make([]float64, n)
+		t[i], tb = tb[:kc:kc], tb[kc:]
 	}
 	for i := 2; i <= n; i++ {
 		fi := float64(i)
-		for j := 1; j <= i; j++ {
-			tmp1 := w[i-2][j] * s1[j-1] / fi
-			tmp2 := w[i-2][j-1] * s2[n-i+j-1] / fi
+		for j := 1; j <= min(i, kc); j++ {
+			// s1 = u - k + (j-1) and s2 = k + n - (n-i+j-1) - u: the 0-based
+			// translation of the MATLAB reference's s1 = s-(k:-1:k-n+1) and
+			// s2 = (k+n:-1:k+1)-s, at the entries this step reads.
+			s1 := u - k + float64(j-1)
+			s2 := k + nf - float64(n-i+j-1) - u
+			tmp1 := w[i-2][j] * s1 / fi
+			tmp2 := w[i-2][j-1] * s2 / fi
 			w[i-1][j] = tmp1 + tmp2
 			tmp3 := w[i-1][j] + tiny
-			if s2[n-i+j-1] > s1[j-1] {
+			if s2 > s1 {
 				t[i-2][j-1] = tmp2 / tmp3
 			} else {
 				t[i-2][j-1] = 1 - tmp1/tmp3

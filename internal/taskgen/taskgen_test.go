@@ -23,6 +23,18 @@ func TestRandFixedSumArgValidation(t *testing.T) {
 	if _, err := RandFixedSum(3, -1, 0, 1, rng); err == nil {
 		t.Fatal("sum < n*lo must error")
 	}
+	if _, err := RandFixedSum(5, math.NaN(), 0.001, 1, rng); err == nil {
+		t.Fatal("NaN sum must error")
+	}
+	if _, err := RandFixedSum(3, 1, math.Inf(-1), 1, rng); err == nil {
+		t.Fatal("infinite lo must error")
+	}
+	if _, err := RandFixedSum(3, 1, 0, math.Inf(1), rng); err == nil {
+		t.Fatal("infinite hi must error")
+	}
+	if _, err := RandFixedSum(3, 0, -1e308, 1e308, rng); err == nil {
+		t.Fatal("infinite n*lo and n*hi must error")
+	}
 }
 
 func TestRandFixedSumSingle(t *testing.T) {
@@ -166,6 +178,11 @@ func TestGenerateValidation(t *testing.T) {
 	p.NR, p.NS = 2, 2
 	if _, err := Generate(p, rng); err == nil {
 		t.Fatal("over-dense utilization must error")
+	}
+	p = DefaultParams(2, 1)
+	p.SecUtilFraction = math.NaN()
+	if _, err := Generate(p, rng); err == nil {
+		t.Fatal("NaN security share must error")
 	}
 }
 
