@@ -237,11 +237,25 @@ func runFig2(ctx context.Context, cfg Fig2Config, hooks Hooks) (*Fig2Result, err
 }
 
 // necessaryCondition applies Eq. 1 to the combined workload with security
-// tasks at their desired rates (their densest legal configuration).
+// tasks at their desired rates (their densest legal configuration). With
+// implicit deadlines, as in Fig. 2, Eq. 1 is a utilization sum, taken here in
+// rts.NecessaryConditionHolds's order without building the combined task
+// list; a constrained deadline takes its demand-bound scan on a copy.
 func necessaryCondition(w *taskgen.Workload, m int) bool {
-	all := append([]rts.RTTask(nil), w.RT...)
-	for _, s := range w.Sec {
-		all = append(all, rts.NewRTTask(s.Name, s.C, s.TDes))
+	util, implicit := 0.0, m > 0
+	for _, t := range w.RT {
+		util += t.Utilization()
+		implicit = implicit && t.D == t.T
 	}
-	return rts.NecessaryConditionHolds(all, m)
+	if !implicit {
+		all := append([]rts.RTTask(nil), w.RT...)
+		for _, s := range w.Sec {
+			all = append(all, rts.NewRTTask(s.Name, s.C, s.TDes))
+		}
+		return rts.NecessaryConditionHolds(all, m)
+	}
+	for _, s := range w.Sec {
+		util += s.C / s.TDes
+	}
+	return rts.UtilizationFits(util, m)
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -113,8 +114,8 @@ func TestUnsupportedSchemeRejected(t *testing.T) {
 // recovery tests cannot see a wrong refusal. Random AddRT, AddSecurity,
 // Remove and Reallocate sequences over every hosted scheme, heuristic and
 // M in {2, 4} must therefore keep every state they reach verifiable and
-// restorable. Arrivals come from a 0.9·M pool on top of a 0.4·M base, so
-// some are rejected.
+// restorable (checkReachableOps). Arrivals come from a 0.9·M pool on top of
+// a 0.4·M base, so some are rejected.
 func TestReachableStatesVerifyAndRestore(t *testing.T) {
 	var combos, ops, rejects int
 	for _, scheme := range online.SupportedSchemes() {
@@ -122,68 +123,13 @@ func TestReachableStatesVerifyAndRestore(t *testing.T) {
 			for _, m := range []int{2, 4} {
 				combos++
 				seed := int64(2 * combos)
-				base := baseWorkload(t, m, 0.4*float64(m), seed)
-				pool := baseWorkload(t, m, 0.9*float64(m), seed+1)
-				s, err := online.NewSystem("g", scheme, h, m, base.RT, nil, base.Sec)
-				if err != nil {
-					t.Fatalf("%s %v M=%d: create: %v", scheme, h, m, err)
-				}
-				var pendRT []rts.RTTask
-				var pendSec []rts.SecurityTask
-				for _, task := range pool.RT {
-					task.Name = "p-" + task.Name
-					pendRT = append(pendRT, task)
-				}
-				for _, task := range pool.Sec {
-					task.Name = "p-" + task.Name
-					pendSec = append(pendSec, task)
-				}
 				rng := stats.SplitRNG(2100, seed)
 				n := 100
 				if scheme == "hydra-gp" {
 					n = 20 // a solver run per (task, core)
 				}
-				for op := 0; op < n; op++ {
-					var err error
-					snap := s.Snapshot()
-					switch r := rng.Intn(20); {
-					case r < 6 && len(pendRT) > 0:
-						_, err = s.AddRT(pendRT[0])
-						pendRT = pendRT[1:]
-					case r < 13 && len(pendSec) > 0:
-						_, err = s.AddSecurity(pendSec[0])
-						pendSec = pendSec[1:]
-					case r < 18 && len(snap.RT)+len(snap.Sec) > 0:
-						// A removed task may arrive again later.
-						if i := rng.Intn(len(snap.RT) + len(snap.Sec)); i < len(snap.RT) {
-							_, err = s.Remove(snap.RT[i].Task.Name)
-							pendRT = append(pendRT, snap.RT[i].Task)
-						} else {
-							_, err = s.Remove(snap.Sec[i-len(snap.RT)].Task.Name)
-							pendSec = append(pendSec, snap.Sec[i-len(snap.RT)].Task)
-						}
-					default:
-						_, _ = s.Reallocate() // bin packing is not monotone: a refusal keeps the state
-					}
-					var rej *online.Rejection
-					if errors.As(err, &rej) {
-						rejects++
-					} else if err != nil {
-						t.Fatalf("%s %v M=%d op %d: %v", scheme, h, m, op, err)
-					}
-					ops++
-					after := s.Snapshot()
-					if err := online.Verify(after); err != nil {
-						t.Fatalf("%s %v M=%d op %d: reachable state fails Verify: %v", scheme, h, m, op, err)
-					}
-					restored, err := online.RestoreSystem("g", scheme, h, m, 0, s.PersistedState())
-					if err != nil {
-						t.Fatalf("%s %v M=%d op %d: reachable state not restorable: %v", scheme, h, m, op, err)
-					}
-					if got := restored.Snapshot(); !reflect.DeepEqual(got, after) {
-						t.Fatalf("%s %v M=%d op %d: restored state differs:\n%+v\nwant\n%+v", scheme, h, m, op, got, after)
-					}
-				}
+				rejects += checkReachableOps(t, reachableRun{scheme: scheme, h: h, m: m, seed: seed}, n, rng.Intn)
+				ops += n
 			}
 		}
 	}
@@ -191,6 +137,141 @@ func TestReachableStatesVerifyAndRestore(t *testing.T) {
 	if rejects == 0 {
 		t.Fatal("the pool must overload some arrivals")
 	}
+}
+
+// reachableRun is one system of checkReachableOps: its scheme, heuristic,
+// core count, auto-reallocate threshold and the seed of its workloads.
+type reachableRun struct {
+	scheme       string
+	h            partition.Heuristic
+	m            int
+	reallocAfter int
+	seed         int64
+}
+
+// checkReachableOps hosts a system on a 0.4·M base workload and runs n
+// operations on it, each chosen by pick(k), which returns a value in
+// [0, k). AddRT and AddSecurity take the next arrival from a 0.9·M pool,
+// Remove takes a committed task (which may arrive again later), and the rest
+// reallocate. After every op it checks that the state passes online.Verify,
+// that RestoreSystem(PersistedState()) gives the same snapshot, and that
+// every core a real-time arrival was refused on for an exact-RTA miss also
+// fails rts.CoreSchedulable, on a fresh state, with the arrival added to
+// that core's committed tasks: the incremental analysis refuses nothing the
+// cold one admits. It returns the number of rejections.
+func checkReachableOps(t *testing.T, run reachableRun, n int, pick func(int) int) (rejects int) {
+	t.Helper()
+	scheme, h, m := run.scheme, run.h, run.m
+	base := baseWorkload(t, m, 0.4*float64(m), run.seed)
+	pool := baseWorkload(t, m, 0.9*float64(m), run.seed+1)
+	s, err := online.NewSystem("g", scheme, h, m, base.RT, nil, base.Sec)
+	if err != nil {
+		t.Fatalf("%s %v M=%d: create: %v", scheme, h, m, err)
+	}
+	s.SetReallocateAfter(run.reallocAfter)
+	var pendRT []rts.RTTask
+	var pendSec []rts.SecurityTask
+	for _, task := range pool.RT {
+		task.Name = "p-" + task.Name
+		pendRT = append(pendRT, task)
+	}
+	for _, task := range pool.Sec {
+		task.Name = "p-" + task.Name
+		pendSec = append(pendSec, task)
+	}
+	for op := 0; op < n; op++ {
+		var err error
+		var arrival rts.RTTask
+		snap := s.Snapshot()
+		switch r := pick(20); {
+		case r < 6 && len(pendRT) > 0:
+			arrival = pendRT[0]
+			_, err = s.AddRT(arrival)
+			pendRT = pendRT[1:]
+		case r < 13 && len(pendSec) > 0:
+			_, err = s.AddSecurity(pendSec[0])
+			pendSec = pendSec[1:]
+		case r < 18 && len(snap.RT)+len(snap.Sec) > 0:
+			// A removed task may arrive again later.
+			if i := pick(len(snap.RT) + len(snap.Sec)); i < len(snap.RT) {
+				_, err = s.Remove(snap.RT[i].Task.Name)
+				pendRT = append(pendRT, snap.RT[i].Task)
+			} else {
+				_, err = s.Remove(snap.Sec[i-len(snap.RT)].Task.Name)
+				pendSec = append(pendSec, snap.Sec[i-len(snap.RT)].Task)
+			}
+		default:
+			_, _ = s.Reallocate() // bin packing is not monotone: a refusal keeps the state
+		}
+		var rej *online.Rejection
+		if errors.As(err, &rej) {
+			rejects++
+			for _, v := range rej.Cores {
+				if rej.Kind != online.KindRT || !strings.Contains(v.Reason, "exact RTA") {
+					continue
+				}
+				core := []rts.RTTask{arrival}
+				for _, p := range snap.RT {
+					if p.Core == v.Core {
+						core = append(core, p.Task)
+					}
+				}
+				if rts.CoreSchedulable(core) {
+					t.Fatalf("%s %v M=%d op %d: %q refused on core %d for an exact-RTA miss, but a cold analysis admits it",
+						scheme, h, m, op, arrival.Name, v.Core)
+				}
+			}
+		} else if err != nil {
+			t.Fatalf("%s %v M=%d op %d: %v", scheme, h, m, op, err)
+		}
+		after := s.Snapshot()
+		if err := online.Verify(after); err != nil {
+			t.Fatalf("%s %v M=%d op %d: reachable state fails Verify: %v", scheme, h, m, op, err)
+		}
+		restored, err := online.RestoreSystem("g", scheme, h, m, run.reallocAfter, s.PersistedState())
+		if err != nil {
+			t.Fatalf("%s %v M=%d op %d: reachable state not restorable: %v", scheme, h, m, op, err)
+		}
+		if got := restored.Snapshot(); !reflect.DeepEqual(got, after) {
+			t.Fatalf("%s %v M=%d op %d: restored state differs:\n%+v\nwant\n%+v", scheme, h, m, op, got, after)
+		}
+	}
+	return rejects
+}
+
+// FuzzOnlineOps is checkReachableOps with the fuzzer's bytes as the choice
+// source: the first four pick the scheme, the heuristic, M in 2..5 and the
+// auto-reallocate threshold (0, off, to 3), the fifth the workload seed, and
+// each later byte one choice. The committed corpus reaches rejections under
+// every scheme.
+func FuzzOnlineOps(f *testing.F) {
+	schemes := online.SupportedSchemes()
+	heuristics := []partition.Heuristic{partition.BestFit, partition.FirstFit, partition.WorstFit, partition.NextFit}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 6 {
+			return
+		}
+		run := reachableRun{
+			scheme:       schemes[int(data[0])%len(schemes)],
+			h:            heuristics[data[1]%4],
+			m:            2 + int(data[2]%4),
+			reallocAfter: int(data[3] % 4),
+			seed:         int64(data[4]),
+		}
+		choices := data[5:]
+		n := min(len(choices), 64)
+		if run.scheme == "hydra-gp" {
+			n = min(n, 16) // a solver run per (task, core)
+		}
+		next := 0
+		pick := func(k int) int {
+			b := choices[next%len(choices)]
+			next++
+			return int(b) % k
+		}
+		rejects := checkReachableOps(t, run, n, pick)
+		t.Logf("%+v: %d ops, %d rejections", run, n, rejects)
+	})
 }
 
 // TestChurnThenReallocateMatchesCold is the acceptance-criterion test: a

@@ -111,19 +111,19 @@ func PartitionRT(tasks []rts.RTTask, m int, h Heuristic) (*Partition, error) {
 			return nil, err
 		}
 	}
-	order := make([]int, len(tasks))
+	order := make([]rankedTask, len(tasks))
 	for i := range order {
-		order[i] = i
+		order[i] = rankedTask{u: tasks[i].Utilization(), i: i}
 	}
 	// Decreasing utilization; ties by input index for determinism.
-	sortByUtilDesc(order, tasks)
+	sortByUtilDesc(order)
 
 	st := rts.AcquireAnalysisState(m)
 	defer rts.ReleaseAnalysisState(st)
 	coreOf := make([]int, len(tasks))
 	next := 0 // NextFit cursor
-	for _, ti := range order {
-		task := tasks[ti]
+	for _, o := range order {
+		task := tasks[o.i]
 		chosen, err := ChooseCore(h, m,
 			func(c int) bool { return st.TryAddRT(c, task) },
 			st.RTUtil,
@@ -136,7 +136,7 @@ func PartitionRT(tasks []rts.RTTask, m int, h Heuristic) (*Partition, error) {
 				ErrUnschedulable, task.Name, task.Utilization(), m, h)
 		}
 		st.AddRT(chosen, task)
-		coreOf[ti] = chosen
+		coreOf[o.i] = chosen
 	}
 	return &Partition{M: m, CoreOf: coreOf}, nil
 }
@@ -191,19 +191,25 @@ func ChooseCore(h Heuristic, m int, admits func(int) bool, util func(int) float6
 	return chosen, nil
 }
 
-// sortByUtilDesc sorts the index slice by decreasing task utilization,
-// breaking ties by index (stable, deterministic).
-func sortByUtilDesc(order []int, tasks []rts.RTTask) {
+// rankedTask is a task index with its utilization, computed once for the
+// sort.
+type rankedTask struct {
+	u float64
+	i int
+}
+
+// sortByUtilDesc sorts by decreasing utilization, breaking ties by index
+// (stable, deterministic).
+func sortByUtilDesc(order []rankedTask) {
 	// Insertion sort keeps the dependency surface minimal and is plenty fast
 	// for the taskset sizes of the paper's evaluation (<= 10M tasks).
 	for i := 1; i < len(order); i++ {
 		for j := i; j > 0; j-- {
 			a, b := order[j-1], order[j]
-			ua, ub := tasks[a].Utilization(), tasks[b].Utilization()
-			if ua > ub || (ua == ub && a < b) {
+			if a.u > b.u || (a.u == b.u && a.i < b.i) {
 				break
 			}
-			order[j-1], order[j] = order[j], order[j-1]
+			order[j-1], order[j] = b, a
 		}
 	}
 }

@@ -2,21 +2,6 @@ package rts
 
 import "math"
 
-// HyperbolicBoundHolds applies Bini & Buttazzo's hyperbolic bound for
-// rate-monotonic schedulability on one core: the taskset is schedulable if
-//
-//	prod_i (U_i + 1) <= 2.
-//
-// It is uniformly tighter than the Liu-Layland utilization bound and, like
-// it, sufficient but not necessary.
-func HyperbolicBoundHolds(tasks []RTTask) bool {
-	p := 1.0
-	for _, t := range tasks {
-		p *= t.Utilization() + 1
-	}
-	return p <= 2+1e-12
-}
-
 // Hyperperiod returns the least common multiple of the task periods, the
 // cycle after which a synchronous periodic schedule repeats. Periods are
 // interpreted at the given resolution (e.g. 1.0 = millisecond, 0.1 = tenth

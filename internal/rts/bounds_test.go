@@ -7,20 +7,109 @@ import (
 	"testing/quick"
 )
 
+// hyperbolicBoundHolds asks the AnalysisState's hyperbolic bound about a
+// set on one core: every task but the last is seeded, and the last one is the
+// arrival whose trial the bound must admit without a fixed point.
+func hyperbolicBoundHolds(tasks []RTTask) bool {
+	if len(tasks) == 0 {
+		return true
+	}
+	st := NewAnalysisState(1)
+	for _, t := range tasks[:len(tasks)-1] {
+		st.SeedRT(0, t)
+	}
+	st.TryAddRT(0, tasks[len(tasks)-1])
+	return st.met.BoundAdmits == 1
+}
+
 func TestHyperbolicBound(t *testing.T) {
 	// Two tasks at U=0.41 each: product 1.41^2 = 1.9881 <= 2 -> schedulable.
 	ok := []RTTask{NewRTTask("a", 41, 100), NewRTTask("b", 41, 100)}
-	if !HyperbolicBoundHolds(ok) {
+	if !hyperbolicBoundHolds(ok) {
 		t.Fatal("1.41^2 <= 2 must pass")
 	}
 	// Two tasks at U=0.45: 1.45^2 = 2.1025 > 2 -> bound fails (taskset may
 	// still be schedulable, the bound is only sufficient).
 	fail := []RTTask{NewRTTask("a", 45, 100), NewRTTask("b", 45, 100)}
-	if HyperbolicBoundHolds(fail) {
+	if hyperbolicBoundHolds(fail) {
 		t.Fatal("1.45^2 > 2 must fail the bound")
 	}
-	if !HyperbolicBoundHolds(nil) {
+	if !hyperbolicBoundHolds(nil) {
 		t.Fatal("empty set trivially passes")
+	}
+}
+
+// The cap pair: the product (1.9995·1.00024 = 1.99998) passes the bound, but
+// lo's fixed point needs about 12,000 iterations, past MaxRTAIterations, so
+// exact RTA refuses lo and the bound must not admit it either.
+func TestBoundRefusesCapPair(t *testing.T) {
+	hp := NewRTTask("hp", 0.9995, 1)
+	lo := NewRTTask("lo", 240, 1e6)
+	st := NewAnalysisState(1)
+	if !st.AddRT(0, hp) {
+		t.Fatal("hp rejected")
+	}
+	cs := &st.cores[0]
+	if p := roundUp(cs.prod * onePlusU(lo)); p > 2 {
+		t.Fatalf("product %g > 2: the pair no longer tests the iteration guard", p)
+	}
+	before := st.met
+	if st.TryAddRT(0, lo) {
+		t.Fatal("TryAddRT admitted lo, whose fixed point exceeds MaxRTAIterations")
+	}
+	if CoreSchedulable([]RTTask{hp, lo}) {
+		t.Fatal("CoreSchedulable admitted lo")
+	}
+	if st.met.BoundAdmits != before.BoundAdmits {
+		t.Fatal("the bound admitted lo")
+	}
+	if over := st.met.IterBuckets[numIterBuckets-1] - before.IterBuckets[numIterBuckets-1]; over != 1 {
+		t.Fatalf("%d analyses in the overflow bucket, want lo's 1", over)
+	}
+}
+
+// {1, 2} and {1, 3} meet the bound with equality in the reals, 1.5·(4/3) = 2.
+// Rounded up, the product passes 2, so the trial goes to exact RTA, which
+// admits it (R = 2 <= 3).
+func TestBoundAtTwoGoesToExactRTA(t *testing.T) {
+	st := NewAnalysisState(1)
+	if !st.AddRT(0, NewRTTask("a", 1, 2)) {
+		t.Fatal("a rejected")
+	}
+	before := st.met
+	if !st.TryAddRT(0, NewRTTask("b", 1, 3)) {
+		t.Fatal("b rejected; exact RTA gives R = 2 <= 3")
+	}
+	if st.met.BoundAdmits != before.BoundAdmits {
+		t.Fatal("the bound admitted a set at exactly 2")
+	}
+	if st.met.FixedPoints == before.FixedPoints {
+		t.Fatal("b was admitted without exact RTA")
+	}
+	if r := st.cores[0].trial.rNew; r != 2 {
+		t.Fatalf("b's response time %g, want 2", r)
+	}
+}
+
+// A product that rounds to at most 2 but lies within the n²·2⁻⁵² margin of 2
+// goes to exact RTA: the margin is what covers the float RTA's rounding.
+func TestBoundKeepsRoundingMargin(t *testing.T) {
+	st := NewAnalysisState(1)
+	if !st.AddRT(0, NewRTTask("a", 1, 2)) {
+		t.Fatal("a rejected")
+	}
+	// Walk the arrival's WCET down from U = 1/3 to the first value whose
+	// rounded-up product is at most 2.
+	b := NewRTTask("b", 1, 3)
+	for roundUp(st.cores[0].prod*onePlusU(b)) > 2 {
+		b.C = math.Nextafter(b.C, 0)
+	}
+	before := st.met
+	if !st.TryAddRT(0, b) {
+		t.Fatal("b rejected; exact RTA gives R = 2 <= 3")
+	}
+	if st.met.BoundAdmits != before.BoundAdmits {
+		t.Fatalf("the bound admitted C = %v, whose product is within its rounding margin of 2", b.C)
 	}
 }
 
@@ -36,7 +125,7 @@ func TestHyperbolicImpliesRTAProperty(t *testing.T) {
 			u := 0.05 + 0.5*rng.Float64()
 			tasks[i] = NewRTTask("t", u*period, period)
 		}
-		if !HyperbolicBoundHolds(tasks) {
+		if !hyperbolicBoundHolds(tasks) {
 			return true
 		}
 		return CoreSchedulable(tasks)
@@ -62,7 +151,7 @@ func TestHyperbolicDominatesLLProperty(t *testing.T) {
 		if util > LiuLaylandBound(n) {
 			return true // LL does not admit; nothing to check
 		}
-		return HyperbolicBoundHolds(tasks)
+		return hyperbolicBoundHolds(tasks)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)

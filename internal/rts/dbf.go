@@ -38,8 +38,7 @@ func NecessaryConditionHolds(tasks []RTTask, m int) bool {
 			implicit = false
 		}
 	}
-	const eps = 1e-12
-	if util > float64(m)+eps {
+	if !UtilizationFits(util, m) {
 		return false
 	}
 	if implicit {
@@ -54,13 +53,21 @@ func NecessaryConditionHolds(tasks []RTTask, m int) bool {
 			for _, o := range tasks {
 				demand += DBF(o, d)
 			}
-			if demand > float64(m)*d+eps {
+			if demand > float64(m)*d+necessaryEps {
 				return false
 			}
 		}
 	}
 	return true
 }
+
+// necessaryEps is the tolerance of Eq. (1)'s comparisons.
+const necessaryEps = 1e-12
+
+// UtilizationFits is Eq. (1) for implicit-deadline tasks whose utilizations
+// sum to util: a total of at most m, within the same tolerance as
+// NecessaryConditionHolds.
+func UtilizationFits(util float64, m int) bool { return !(util > float64(m)+necessaryEps) }
 
 // dbfHorizon returns a finite check horizon for the constrained-deadline
 // necessary-condition test. DBF(tau,t) <= C + U*(t-D) + U*T, so total demand

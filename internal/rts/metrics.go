@@ -1,6 +1,9 @@
 package rts
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // This file is the package's entire observability surface, and it is
 // deliberately count-only: plain per-state counters on the hot path, flushed
@@ -11,7 +14,8 @@ import "sync/atomic"
 // contention.
 
 // IterationBucketBounds are the inclusive upper bounds of the RTA iteration
-// histogram; a final implicit bucket catches everything above the last bound.
+// histogram, the powers of two 2⁰..2⁷; a final implicit bucket catches
+// everything above the last bound.
 var IterationBucketBounds = [...]uint64{1, 2, 4, 8, 16, 32, 64, 128}
 
 const numIterBuckets = len(IterationBucketBounds) + 1
@@ -24,6 +28,7 @@ type AnalysisMetrics struct {
 	Iterations  uint64                 // total RTA iterations across invocations
 	WarmStarts  uint64                 // invocations seeded above the cold start C
 	TrialReuses uint64                 // AddRT commits that reused the TryAddRT trial
+	BoundAdmits uint64                 // TryAddRT trials the hyperbolic bound admitted without a fixed point
 	IterBuckets [numIterBuckets]uint64 // iterations-per-invocation histogram
 }
 
@@ -34,11 +39,9 @@ func (m *AnalysisMetrics) observe(iters int, warm bool) {
 	if warm {
 		m.WarmStarts++
 	}
-	b := 0
-	for b < len(IterationBucketBounds) && uint64(iters) > IterationBucketBounds[b] {
-		b++
-	}
-	m.IterBuckets[b]++
+	// The bounds are powers of two, so iters (>= 1) falls in bucket
+	// ceil(log2(iters)), capped at the overflow bucket.
+	m.IterBuckets[min(bits.Len(uint(iters-1)), numIterBuckets-1)]++
 }
 
 // aggMetrics are the package-level totals the service scrapes.
@@ -47,6 +50,7 @@ var aggMetrics struct {
 	iterations  atomic.Uint64
 	warmStarts  atomic.Uint64
 	trialReuses atomic.Uint64
+	boundAdmits atomic.Uint64
 	iterBuckets [numIterBuckets]atomic.Uint64
 }
 
@@ -56,13 +60,14 @@ var aggMetrics struct {
 // call it after each admission batch so their counts surface too.
 func (st *AnalysisState) FlushMetrics() {
 	m := &st.met
-	if m.FixedPoints == 0 && m.TrialReuses == 0 {
+	if m.FixedPoints == 0 && m.TrialReuses == 0 && m.BoundAdmits == 0 {
 		return
 	}
 	aggMetrics.fixedPoints.Add(m.FixedPoints)
 	aggMetrics.iterations.Add(m.Iterations)
 	aggMetrics.warmStarts.Add(m.WarmStarts)
 	aggMetrics.trialReuses.Add(m.TrialReuses)
+	aggMetrics.boundAdmits.Add(m.BoundAdmits)
 	for i, n := range m.IterBuckets {
 		if n != 0 {
 			aggMetrics.iterBuckets[i].Add(n)
@@ -79,6 +84,7 @@ type AnalysisMetricsSnapshot struct {
 	Iterations  uint64
 	WarmStarts  uint64
 	TrialReuses uint64
+	BoundAdmits uint64
 	IterBuckets [numIterBuckets]uint64
 }
 
@@ -89,6 +95,7 @@ func ReadAnalysisMetrics() AnalysisMetricsSnapshot {
 	s.Iterations = aggMetrics.iterations.Load()
 	s.WarmStarts = aggMetrics.warmStarts.Load()
 	s.TrialReuses = aggMetrics.trialReuses.Load()
+	s.BoundAdmits = aggMetrics.boundAdmits.Load()
 	for i := range s.IterBuckets {
 		s.IterBuckets[i] = aggMetrics.iterBuckets[i].Load()
 	}

@@ -1,6 +1,9 @@
 package rts
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // metricsTaskset commits a few tasks through the probe-then-commit pattern
 // the heuristics use, returning the delta this produced in the package
@@ -17,6 +20,7 @@ func metricsDelta(t *testing.T, fn func(st *AnalysisState)) AnalysisMetricsSnaps
 		Iterations:  after.Iterations - before.Iterations,
 		WarmStarts:  after.WarmStarts - before.WarmStarts,
 		TrialReuses: after.TrialReuses - before.TrialReuses,
+		BoundAdmits: after.BoundAdmits - before.BoundAdmits,
 	}
 	for i := range d.IterBuckets {
 		d.IterBuckets[i] = after.IterBuckets[i] - before.IterBuckets[i]
@@ -24,12 +28,14 @@ func metricsDelta(t *testing.T, fn func(st *AnalysisState)) AnalysisMetricsSnaps
 	return d
 }
 
+// The metrics tests give their tasks D < T, which the hyperbolic bound does
+// not decide, so every trial runs exact RTA.
 func TestAnalysisMetricsCountFixedPoints(t *testing.T) {
 	d := metricsDelta(t, func(st *AnalysisState) {
-		if !st.AddRT(0, RTTask{Name: "a", C: 1, T: 10, D: 10}) {
+		if !st.AddRT(0, RTTask{Name: "a", C: 1, T: 10, D: 9}) {
 			t.Fatal("a rejected")
 		}
-		if !st.AddRT(0, RTTask{Name: "b", C: 2, T: 20, D: 20}) {
+		if !st.AddRT(0, RTTask{Name: "b", C: 2, T: 20, D: 19}) {
 			t.Fatal("b rejected")
 		}
 	})
@@ -71,13 +77,13 @@ func TestAnalysisMetricsWarmStarts(t *testing.T) {
 		// Commit a low-priority task first, then a higher-priority one: the
 		// re-analysis of the preempted task warm-starts from its memoized
 		// response time, which interference has pushed above its WCET.
-		if !st.AddRT(0, RTTask{Name: "low", C: 3, T: 100, D: 100}) {
+		if !st.AddRT(0, RTTask{Name: "low", C: 3, T: 100, D: 90}) {
 			t.Fatal("low rejected")
 		}
-		if !st.AddRT(0, RTTask{Name: "mid", C: 2, T: 50, D: 50}) {
+		if !st.AddRT(0, RTTask{Name: "mid", C: 2, T: 50, D: 45}) {
 			t.Fatal("mid rejected")
 		}
-		if !st.AddRT(0, RTTask{Name: "high", C: 1, T: 10, D: 10}) {
+		if !st.AddRT(0, RTTask{Name: "high", C: 1, T: 10, D: 9}) {
 			t.Fatal("high rejected")
 		}
 	})
@@ -89,13 +95,75 @@ func TestAnalysisMetricsWarmStarts(t *testing.T) {
 func TestReleaseFlushesMetrics(t *testing.T) {
 	before := ReadAnalysisMetrics()
 	st := AcquireAnalysisState(1)
-	if !st.AddRT(0, RTTask{Name: "a", C: 1, T: 10, D: 10}) {
+	if !st.AddRT(0, RTTask{Name: "a", C: 1, T: 10, D: 9}) {
 		t.Fatal("a rejected")
 	}
 	ReleaseAnalysisState(st)
 	after := ReadAnalysisMetrics()
 	if after.FixedPoints == before.FixedPoints {
 		t.Fatal("ReleaseAnalysisState did not flush staged counters")
+	}
+}
+
+// A trial the hyperbolic bound admits stages no fixed point and one bound
+// admit, and the release flushes a stage that holds nothing else.
+func TestBoundAdmitStagesNoFixedPoint(t *testing.T) {
+	before := ReadAnalysisMetrics()
+	st := AcquireAnalysisState(1)
+	if !st.TryAddRT(0, NewRTTask("a", 1, 10)) {
+		t.Fatal("a rejected")
+	}
+	if st.met != (AnalysisMetrics{BoundAdmits: 1}) {
+		t.Fatalf("staged %+v, want only 1 bound admit", st.met)
+	}
+	ReleaseAnalysisState(st)
+	after := ReadAnalysisMetrics()
+	if d := after.BoundAdmits - before.BoundAdmits; d != 1 {
+		t.Fatalf("release flushed %d bound admits, want 1", d)
+	}
+	if d := after.FixedPoints - before.FixedPoints; d != 0 {
+		t.Fatalf("release flushed %d fixed points, want 0", d)
+	}
+}
+
+// RemoveRT leaves the hyperbolic bound's running values as a state that
+// never saw the removed task holds them, including after the removal of the
+// only task with D != T, which had set the product to +Inf.
+func TestRemoveRTRestoresBound(t *testing.T) {
+	a, b, c := NewRTTask("a", 1, 4), RTTask{Name: "b", C: 1, T: 3, D: 2}, NewRTTask("c", 2, 50)
+	st, want := NewAnalysisState(1), NewAnalysisState(1)
+	for _, task := range []RTTask{a, b, c} {
+		if !st.AddRT(0, task) {
+			t.Fatalf("%s rejected", task.Name)
+		}
+	}
+	if !math.IsInf(st.cores[0].prod, 1) {
+		t.Fatalf("product %g with a constrained deadline committed, want +Inf", st.cores[0].prod)
+	}
+	if !st.RemoveRT(0, b) {
+		t.Fatal("b not found")
+	}
+	want.AddRT(0, a)
+	want.AddRT(0, c)
+	g, w := &st.cores[0], &want.cores[0]
+	if g.prod != w.prod || g.tMin != w.tMin || g.dMax != w.dMax {
+		t.Fatalf("after RemoveRT: product %g, Tmin %g, Dmax %g; fresh state: %g, %g, %g", g.prod, g.tMin, g.dMax, w.prod, w.tMin, w.dMax)
+	}
+}
+
+// The overflow bucket takes what the last bound does not, and every other
+// iteration count lands in the first bucket whose bound holds it.
+func TestObserveBucketsMatchBounds(t *testing.T) {
+	for iters := 1; iters <= 4*MaxRTAIterations; iters++ {
+		want := 0
+		for want < len(IterationBucketBounds) && uint64(iters) > IterationBucketBounds[want] {
+			want++
+		}
+		var m AnalysisMetrics
+		m.observe(iters, false)
+		if m.IterBuckets[want] != 1 {
+			t.Fatalf("%d iterations: buckets %v, want bucket %d", iters, m.IterBuckets, want)
+		}
 	}
 }
 

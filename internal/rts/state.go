@@ -12,13 +12,15 @@ import (
 // For each core it maintains:
 //
 //   - the committed real-time tasks in rate-monotonic order (insertion on
-//     commit — no per-call copy+sort), with the converged response time of
-//     every task memoized. Committing another task can only grow response
-//     times, so the memoized fixed point is a valid warm-start seed: the RTA
-//     iteration is monotone from below and restarting it at any value in
-//     [C, R] reaches exactly the same least fixed point (see
-//     TestWarmStartMatchesCold*). Admission trials therefore re-analyze only
-//     the incoming task plus the tasks it would preempt, each warm-started;
+//     commit — no per-call copy+sort), with a lower bound on the response
+//     time of every task memoized: C, or a fixed point the RTA reached on
+//     the core before later commits. Committing another task can only grow
+//     response times, and the RTA iteration is monotone from below, so
+//     restarting it at any value in [C, R] reaches exactly the same least
+//     fixed point (see TestWarmStartMatchesCold*). Admission trials
+//     therefore re-analyze only the incoming task plus the tasks it would
+//     preempt, each warm-started, and a trial the hyperbolic bound decides
+//     (boundAdmits) analyzes none;
 //   - the exact-RTA interferer list (real-time tasks in seed order, then
 //     committed security tasks in commit order), matching bit-for-bit the
 //     interference summation order of the historical slice-building code in
@@ -36,8 +38,14 @@ type AnalysisState struct {
 // coreState is the per-core half of AnalysisState.
 type coreState struct {
 	rm   []RTTask // committed RT tasks, rate-monotonic order (T asc, Name asc)
-	resp []Time   // memoized converged response time per rm index; 0 = unknown
+	resp []Time   // memoized response-time lower bound per rm index; 0 = unknown
 	rt   CoreLoad // Eq. 5 aggregates of the committed RT tasks
+
+	// The hyperbolic bound's running values over the committed RT tasks
+	// (boundAdmits): the product of (1+U), rounded up at every step and +Inf
+	// once a task with D != T is committed, the least period and the
+	// largest deadline.
+	prod, tMin, dMax float64
 
 	hp  []InterferingTask // exact-RTA interferers in seed/commit order
 	nRT int               // prefix of hp holding real-time tasks
@@ -60,8 +68,8 @@ type coreState struct {
 		valid bool
 		task  RTTask
 		k     int    // RM insertion index
-		rNew  Time   // response time of the trial task
-		resp  []Time // updated responses of the preempted tasks (rm[k:])
+		rNew  Time   // response-time lower bound of the trial task
+		resp  []Time // lower bounds for the preempted tasks (rm[k:])
 	}
 }
 
@@ -113,6 +121,7 @@ func (cs *coreState) clear() {
 	cs.hp = cs.hp[:0]
 	cs.nRT = 0
 	cs.rt = CoreLoad{}
+	cs.prod, cs.tMin, cs.dMax = 1, math.Inf(1), 0
 	cs.seq = cs.seq[:0]
 	cs.trial.valid = false
 }
@@ -190,18 +199,26 @@ func (cs *coreState) rtResponse(met *AnalysisMetrics, c, d Time, hi, insertAt in
 }
 
 // TryAddRT reports whether core c would remain schedulable under exact RTA
-// with t added, without committing anything. Only t itself (cold) and the
-// committed tasks it would preempt (warm-started from their memoized
-// response times) are re-analyzed; higher-priority tasks are unaffected by
-// a lower-priority arrival. The trial writes nothing its fixed points read,
-// so their order changes no value, and the verdict is their AND. The
-// preempted tasks go first, lowest priority up, and t last: the lowest is
-// nearly always the one that misses, so a refusal costs one warm fixed point.
+// with t added, without committing anything. When the hyperbolic bound
+// proves the answer (boundAdmits) no fixed point runs. Otherwise only t
+// itself (cold) and the committed tasks it would preempt (warm-started from
+// their memoized lower bounds) are re-analyzed; higher-priority tasks are
+// unaffected by a lower-priority arrival. The trial writes nothing its fixed
+// points read, so their order changes no value, and the verdict is their
+// AND. The preempted tasks go first, lowest priority up, and t last: the
+// lowest is nearly always the one that misses, so a refusal costs one warm
+// fixed point.
 func (st *AnalysisState) TryAddRT(c int, t RTTask) bool {
 	cs := &st.cores[c]
 	cs.trial.valid = false
 	k := cs.rmInsertionIndex(t)
-	cs.trial.resp = append(cs.trial.resp[:0], cs.resp[k:]...) // sized to rm[k:]; each entry is overwritten
+	cs.trial.resp = append(cs.trial.resp[:0], cs.resp[k:]...) // sized to rm[k:]; an exact trial overwrites each entry
+	if cs.boundAdmits(t) {
+		// The memos stay lower bounds: C for t, the old ones for the rest.
+		st.met.BoundAdmits++
+		cs.trial.valid, cs.trial.task, cs.trial.k, cs.trial.rNew = true, t, k, t.C
+		return true
+	}
 	for i := len(cs.rm) - 1; i >= k; i-- {
 		r, ok, _ := cs.rtResponse(&st.met, cs.rm[i].C, cs.rm[i].D, i, k, &t, cs.resp[i])
 		if !ok {
@@ -216,6 +233,52 @@ func (st *AnalysisState) TryAddRT(c int, t RTTask) bool {
 	cs.trial.valid, cs.trial.task, cs.trial.k, cs.trial.rNew = true, t, k, rNew
 	return true
 }
+
+// boundAdmits reports whether the hyperbolic bound of Bini, Buttazzo and
+// Buttazzo (IEEE TC 2003), Π(1+Uᵢ) <= 2 under rate-monotonic priorities with
+// D = T, proves that rtResponse converges at or below every deadline on the
+// core with t added. It is a theorem about the float64 iteration rtResponse
+// runs, under its MaxRTAIterations cap, not only about the real one:
+//
+//   - ceil(fl(r/T)) <= ceil(r/T), and each product and partial sum of an
+//     iterate rounds up by at most a factor 1+u, u = 2⁻⁵³ (a fused
+//     multiply-add rounds less). With n tasks on the core, t included, the
+//     float map from one iterate to the next is therefore at most the real
+//     RTA map of the same set with every C scaled by (1+u)ⁿ. Both maps are
+//     monotone, so from any seed in [C, R] the float iterates stay at or
+//     below the real response time of the scaled set, which the bound puts
+//     at or below the deadline when it holds for the scaled set.
+//   - Scaling every Uᵢ by (1+u)ⁿ grows the product by at most (1+u)^(n²)
+//     <= 1+2n²u (Higham's γ, as n²u < 1/2), so the check multiplies the
+//     running product, the arrival's factor and 1+n²·2⁻⁵² together, every
+//     step rounded up with math.Nextafter, and compares with 2.
+//   - An iterate depends on r only through the integers ceil(fl(r/Tⱼ)) of
+//     at most n-1 interferers. Each iteration after the first that does not
+//     end raises one of them, and none passes X = ceil(fl(Dmax/Tmin)) while
+//     r <= Dmax, so an analysis ends within 2 + (n-1)·X <= max(2, n·X+1)
+//     iterations: inside the cap when n·X < MaxRTAIterations. Fig. 2's
+//     periods in [10, 1000] ms never come near it.
+//
+// So every trial the bound admits is one the exact analysis admits too, and
+// the bound changes no verdict, only how much RTA runs.
+func (cs *coreState) boundAdmits(t RTTask) bool {
+	if t.D != t.T {
+		return false
+	}
+	n := float64(len(cs.rm) + 1)
+	if n*math.Ceil(max(cs.dMax, t.D)/min(cs.tMin, t.T)) >= MaxRTAIterations {
+		return false
+	}
+	p := roundUp(cs.prod * onePlusU(t))
+	return roundUp(p*roundUp(1+n*n*0x1p-52)) <= 2
+}
+
+// onePlusU returns 1+C/T rounded up past the real value.
+func onePlusU(t RTTask) float64 { return roundUp(1 + roundUp(t.C/t.T)) }
+
+// roundUp returns the next float64 above x: at least the real value of the
+// operation round-to-nearest produced x from.
+func roundUp(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
 
 // AddRT commits t to core c, updating the RM order, the memoized response
 // times and the load aggregates. It reports whether the core remains
@@ -238,23 +301,17 @@ func (st *AnalysisState) AddRT(c int, t RTTask) bool {
 
 // SeedRT records t on core c without any schedulability analysis — the bulk
 // loading path for states built from an already-partitioned input (memoized
-// response times start unknown and are derived on demand).
+// response times start unknown and are derived on demand). The memos of the
+// tasks t preempts stay valid lower bounds.
 func (st *AnalysisState) SeedRT(c int, t RTTask) {
 	cs := &st.cores[c]
-	k := cs.rmInsertionIndex(t)
-	cs.insertRT(k, t, 0)
-	// The unanalyzed arrival interferes with every lower-priority task, so
-	// their memoized response times (if any commits preceded this seed) are
-	// stale lower bounds — still valid warm-start seeds, but no longer the
-	// fixed points RTResponseTimes may report. Drop them back to unknown.
-	for i := k + 1; i < len(cs.resp); i++ {
-		cs.resp[i] = 0
-	}
+	cs.insertRT(cs.rmInsertionIndex(t), t, 0)
 }
 
 // insertRT places t at RM index k with memoized response time r (0 =
 // unknown), appends it to the real-time prefix of the interferer list, the
-// load fold and the arrival log, and invalidates the trial.
+// load fold, the hyperbolic bound's running values and the arrival log, and
+// invalidates the trial.
 func (cs *coreState) insertRT(k int, t RTTask, r Time) {
 	cs.trial.valid = false
 	cs.rm = append(cs.rm, RTTask{})
@@ -268,6 +325,12 @@ func (cs *coreState) insertRT(k int, t RTTask, r Time) {
 	cs.hp[cs.nRT] = InterferingTask{C: t.C, T: t.T}
 	cs.nRT++
 	cs.rt.AddRT(t)
+	if t.D == t.T {
+		cs.prod = roundUp(cs.prod * onePlusU(t))
+	} else {
+		cs.prod = math.Inf(1)
+	}
+	cs.tMin, cs.dMax = min(cs.tMin, t.T), max(cs.dMax, t.D)
 	cs.seq = append(cs.seq, t)
 }
 
@@ -325,17 +388,14 @@ func (st *AnalysisState) LinearSecurityBound(core int, c, ts Time) Time {
 	return LinearSecurityResponseBound(c, ts, st.cores[core].hp)
 }
 
-// RTResponseTimes appends the memoized response time of every committed
-// real-time task on core c (in RM order) to buf and returns it, deriving any
-// still-unknown entries. Tasks past their deadline or non-convergent report
-// the last iterate.
+// RTResponseTimes appends the response time of every committed real-time
+// task on core c (in RM order) to buf and returns it, iterating from each
+// memoized lower bound and memoizing the result. Tasks past their deadline
+// or non-convergent report the last iterate.
 func (st *AnalysisState) RTResponseTimes(c int, buf []Time) []Time {
 	cs := &st.cores[c]
 	for i := range cs.rm {
-		if cs.resp[i] == 0 {
-			r, _, _ := cs.rtResponse(&st.met, cs.rm[i].C, cs.rm[i].D, i, i, nil, cs.resp[i])
-			cs.resp[i] = r
-		}
+		cs.resp[i], _, _ = cs.rtResponse(&st.met, cs.rm[i].C, cs.rm[i].D, i, i, nil, cs.resp[i])
 		buf = append(buf, cs.resp[i])
 	}
 	return buf

@@ -259,9 +259,9 @@ func TestAnalysisStatePoolConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSeedRTInvalidatesMemoizedResponses pins the SeedRT staleness fix: a
-// higher-priority seed arriving after commits must drop the memoized fixed
-// points of the tasks it preempts, so RTResponseTimes re-derives them.
+// TestSeedRTInvalidatesMemoizedResponses pins the SeedRT staleness fix: after
+// a higher-priority seed arrives, the memoized fixed points of the tasks it
+// preempts are only lower bounds, and RTResponseTimes re-derives them.
 func TestSeedRTInvalidatesMemoizedResponses(t *testing.T) {
 	st := rts.AcquireAnalysisState(1)
 	defer rts.ReleaseAnalysisState(st)

@@ -159,6 +159,8 @@ func (s *Server) bindMetrics() {
 		func() uint64 { return o.scrape.rta.WarmStarts })
 	o.reg.CounterFunc("hydra_rta_trial_reuses_total", "", "Admission commits that reused the trial analysis.",
 		func() uint64 { return o.scrape.rta.TrialReuses })
+	o.reg.CounterFunc("hydra_rta_bound_admits_total", "", "Admission trials the hyperbolic bound admitted without a fixed point.",
+		func() uint64 { return o.scrape.rta.BoundAdmits })
 
 	o.reg.CounterFunc("hydra_jobs_submitted_total", "", "Experiment campaigns submitted.",
 		func() uint64 { return o.scrape.jobs.Submitted })

@@ -53,35 +53,32 @@ func RandFixedSum(n int, total, lo, hi float64, rng *rand.Rand) ([]float64, erro
 	// The sampling walk below starts at column k+1 and only moves left, and
 	// column j of a row depends only on columns j and j-1 of the row before,
 	// so only columns 0..k+1 of w and 0..k of t are built: O(n*k), not
-	// O(n^2). Rows are capped, so an index past them still panics.
+	// O(n^2). Each table is one flat array; a row is sliced out of it with
+	// its column bound, so an index past the built columns still panics.
 	const big = 1e300
 	const tiny = math.SmallestNonzeroFloat64
 	kc := int(k) + 1 // columns of t; w has one more
-	w, wb := make([][]float64, n), make([]float64, n*(kc+1))
-	for i := range w {
-		w[i], wb = wb[:kc+1:kc+1], wb[kc+1:]
-	}
-	w[0][1] = big
-	t, tb := make([][]float64, n-1), make([]float64, (n-1)*kc)
-	for i := range t {
-		t[i], tb = tb[:kc:kc], tb[kc:]
-	}
+	wc := kc + 1
+	w, t := make([]float64, n*wc), make([]float64, (n-1)*kc)
+	w[1] = big
 	for i := 2; i <= n; i++ {
 		fi := float64(i)
+		prev, cur := w[(i-2)*wc:(i-1)*wc], w[(i-1)*wc:i*wc]
+		trow := t[(i-2)*kc : (i-1)*kc]
 		for j := 1; j <= min(i, kc); j++ {
 			// s1 = u - k + (j-1) and s2 = k + n - (n-i+j-1) - u: the 0-based
 			// translation of the MATLAB reference's s1 = s-(k:-1:k-n+1) and
 			// s2 = (k+n:-1:k+1)-s, at the entries this step reads.
 			s1 := u - k + float64(j-1)
 			s2 := k + nf - float64(n-i+j-1) - u
-			tmp1 := w[i-2][j] * s1 / fi
-			tmp2 := w[i-2][j-1] * s2 / fi
-			w[i-1][j] = tmp1 + tmp2
-			tmp3 := w[i-1][j] + tiny
+			tmp1 := prev[j] * s1 / fi
+			tmp2 := prev[j-1] * s2 / fi
+			cur[j] = tmp1 + tmp2
+			tmp3 := cur[j] + tiny
 			if s2 > s1 {
-				t[i-2][j-1] = tmp2 / tmp3
+				trow[j-1] = tmp2 / tmp3
 			} else {
-				t[i-2][j-1] = 1 - tmp1/tmp3
+				trow[j-1] = 1 - tmp1/tmp3
 			}
 		}
 	}
@@ -94,7 +91,7 @@ func RandFixedSum(n int, total, lo, hi float64, rng *rand.Rand) ([]float64, erro
 	sm, pr = 0, 1
 	for i := n - 1; i >= 1; i-- {
 		e := 0.0
-		if rng.Float64() <= t[i-1][j-1] {
+		if rng.Float64() <= t[(i-1)*kc : i*kc][j-1] {
 			e = 1
 		}
 		sx := math.Pow(rng.Float64(), 1/float64(i))
