@@ -282,11 +282,11 @@ func BenchmarkUAVCaseStudyAllocation(b *testing.B) {
 	sec := uav.SecurityTaskSet()
 	for _, m := range []int{2, 4, 8} {
 		b.Run(coresName(m), func(b *testing.B) {
-			part, err := core.PartitionForHydra(rt, m, partition.BestFit)
+			part, err := partition.PartitionRT(rt, m, partition.BestFit)
 			if err != nil {
 				b.Fatal(err)
 			}
-			in, err := core.NewInput(m, rt, part, sec)
+			in, err := core.NewInput(m, rt, part.CoreOf, sec)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -324,11 +324,11 @@ func BenchmarkTasksetGeneration(b *testing.B) {
 func BenchmarkSimulation500s(b *testing.B) {
 	rt := uav.RTTasks()
 	sec := uav.SecurityTaskSet()
-	part, err := core.PartitionForHydra(rt, 2, partition.BestFit)
+	part, err := partition.PartitionRT(rt, 2, partition.BestFit)
 	if err != nil {
 		b.Fatal(err)
 	}
-	in, err := core.NewInput(2, rt, part, sec)
+	in, err := core.NewInput(2, rt, part.CoreOf, sec)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -70,8 +70,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 
 	// Resolve the allocator. The schemes with CLI modifier flags are built
-	// directly so -policy/-gp/-refine/-heuristic take effect; everything
-	// else comes from the registry by name.
+	// directly so -policy/-gp/-refine take effect; everything else comes
+	// from the registry by name, and singlecore repacks with -heuristic.
 	var alloc core.Allocator
 	switch *scheme {
 	case "hydra":
@@ -82,13 +82,12 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		alloc = core.NewHydraAllocator(core.HydraOptions{Policy: pol, UseGP: *useGP})
 	case "opt":
 		alloc = core.NewOptimalAllocator(core.OptimalOptions{RefineJointGP: *refine, MaxAssignments: 1 << 20})
-	case "singlecore":
-		alloc = core.NewSingleCoreAllocator(h)
 	default:
 		var ok bool
 		if alloc, ok = core.Lookup(*scheme); !ok {
 			return fmt.Errorf("unknown scheme %q (available: %s)", *scheme, strings.Join(core.Names(), ", "))
 		}
+		alloc = core.WithHeuristic(alloc, h)
 	}
 
 	in, err := tasksetio.BuildInput(problem, alloc, h)

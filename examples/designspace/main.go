@@ -134,11 +134,11 @@ func nonPreemptiveCost() {
 	fmt.Println("3. Non-preemptive security execution (UAV workload, 2 cores)")
 	rt := uav.RTTasks()
 	sec := uav.SecurityTaskSet()
-	part, err := core.PartitionForHydra(rt, 2, partition.BestFit)
+	part, err := partition.PartitionRT(rt, 2, partition.BestFit)
 	if err != nil {
 		log.Fatal(err)
 	}
-	in, err := core.NewInput(2, rt, part, sec)
+	in, err := core.NewInput(2, rt, part.CoreOf, sec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -173,11 +173,11 @@ func slackReclamation() {
 	fmt.Println("4. Runtime slack reclamation vs static HYDRA pinning (UAV, 2 cores)")
 	rt := uav.RTTasks()
 	sec := uav.SecurityTaskSet()
-	part, err := core.PartitionForHydra(rt, 2, partition.BestFit)
+	part, err := partition.PartitionRT(rt, 2, partition.BestFit)
 	if err != nil {
 		log.Fatal(err)
 	}
-	in, err := core.NewInput(2, rt, part, sec)
+	in, err := core.NewInput(2, rt, part.CoreOf, sec)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,13 +33,13 @@ func main() {
 	// 3. Partition the real-time tasks across the cores (best-fit, as in the
 	// paper) — in a retrofit scenario this assignment already exists.
 	const m = 2
-	rtPartition, err := core.PartitionForHydra(rtTasks, m, partition.BestFit)
+	rtPartition, err := partition.PartitionRT(rtTasks, m, partition.BestFit)
 	if err != nil {
 		log.Fatalf("real-time tasks are not schedulable on %d cores: %v", m, err)
 	}
 
 	// 4. Run HYDRA (Algorithm 1).
-	in, err := core.NewInput(m, rtTasks, rtPartition, secTasks)
+	in, err := core.NewInput(m, rtTasks, rtPartition.CoreOf, secTasks)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,11 +29,11 @@ func main() {
 		log.Fatal(err)
 	}
 	const m = 2
-	part, err := core.PartitionForHydra(w.RT, m, partition.BestFit)
+	part, err := partition.PartitionRT(w.RT, m, partition.BestFit)
 	if err != nil {
 		log.Fatal(err)
 	}
-	in, err := core.NewInput(m, w.RT, part, w.Sec)
+	in, err := core.NewInput(m, w.RT, part.CoreOf, w.Sec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func main() {
 			over[i].C = over[i].TDes * 0.9
 		}
 	}
-	overIn, err := core.NewInput(m, w.RT, part, over)
+	overIn, err := core.NewInput(m, w.RT, part.CoreOf, over)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -98,11 +98,11 @@ func TestIntegrationWorkloadPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		part, err := core.PartitionForHydra(w.RT, 4, partition.BestFit)
+		part, err := partition.PartitionRT(w.RT, 4, partition.BestFit)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		in, err := core.NewInput(4, w.RT, part, w.Sec)
+		in, err := core.NewInput(4, w.RT, part.CoreOf, w.Sec)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -27,20 +27,24 @@ type Allocator interface {
 	Allocate(in *Input) *Result
 }
 
-// SelfPartitioning marks allocators that ignore the Input's real-time
-// partition and solve against one of their own (recorded in
-// Result.RTPartition). Callers use SelfPartitions to decide whether a scheme
-// can still run when no valid partition of the real-time tasks over all M
-// cores exists.
-type SelfPartitioning interface {
-	SelfPartitions() bool
+// SelfPartitions reports whether the allocator ignores the Input's
+// real-time partition and solves against one of its own (recorded in
+// Result.RTPartition): singlecore, built by NewSingleCoreAllocator. Callers
+// use it to decide whether a scheme can still run when no valid partition of
+// the real-time tasks over all M cores exists.
+func SelfPartitions(a Allocator) bool {
+	_, ok := a.(singlecore)
+	return ok
 }
 
-// SelfPartitions reports whether the allocator repartitions the real-time
-// tasks itself.
-func SelfPartitions(a Allocator) bool {
-	s, ok := a.(SelfPartitioning)
-	return ok && s.SelfPartitions()
+// WithHeuristic returns the allocator that runs a with real-time heuristic
+// h: a self-partitioning singlecore repacks with h, and every other scheme,
+// which solves the caller's partition, is a itself.
+func WithHeuristic(a Allocator, h partition.Heuristic) Allocator {
+	if SelfPartitions(a) {
+		return singlecore{h}
+	}
+	return a
 }
 
 // allocatorFunc adapts a function to the Allocator interface.
@@ -58,12 +62,6 @@ func (a allocatorFunc) Allocate(in *Input) *Result {
 	r.Scheme = a.name
 	return r
 }
-
-// selfPartitioningFunc is an allocatorFunc that advertises the
-// SelfPartitioning capability.
-type selfPartitioningFunc struct{ allocatorFunc }
-
-func (selfPartitioningFunc) SelfPartitions() bool { return true }
 
 // NewAllocator wraps a plain function as a named Allocator.
 func NewAllocator(name string, fn func(*Input) *Result) Allocator {
@@ -111,14 +109,14 @@ func NewOptimalAllocator(opt OptimalOptions) Allocator {
 // allocator ignores the Input's RT partition and repacks the real-time tasks
 // onto M-1 cores with heuristic h; the partition it used is recorded in
 // Result.RTPartition.
-func NewSingleCoreAllocator(h partition.Heuristic) Allocator {
-	return selfPartitioningFunc{allocatorFunc{
-		name: "singlecore",
-		fn: func(in *Input) *Result {
-			return SingleCore(in.M, in.RT, in.Sec, h)
-		},
-	}}
-}
+func NewSingleCoreAllocator(h partition.Heuristic) Allocator { return singlecore{h} }
+
+// singlecore is the allocator NewSingleCoreAllocator builds: SingleCore
+// with heuristic h.
+type singlecore struct{ h partition.Heuristic }
+
+func (singlecore) Name() string                 { return "singlecore" }
+func (a singlecore) Allocate(in *Input) *Result { return SingleCore(in.M, in.RT, in.Sec, a.h) }
 
 // NewPartitionBaselineAllocator builds a "partition-<heuristic>" baseline:
 // security tasks are bin-packed at their desired periods with no period

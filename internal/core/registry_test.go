@@ -105,7 +105,7 @@ func TestRegisteredSchemesAllocateAndVerify(t *testing.T) {
 	}
 }
 
-// Only singlecore advertises the SelfPartitioning capability.
+// Only singlecore repartitions the real-time tasks itself.
 func TestSelfPartitionsCapability(t *testing.T) {
 	for _, name := range Names() {
 		got := SelfPartitions(MustLookup(name))

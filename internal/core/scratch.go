@@ -42,16 +42,3 @@ var scratchPool = sync.Pool{New: func() any { return new(allocScratch) }}
 
 func acquireScratch() *allocScratch  { return scratchPool.Get().(*allocScratch) }
 func releaseScratch(s *allocScratch) { scratchPool.Put(s) }
-
-// zeroLoads returns a zeroed m-length CoreLoad slice backed by buf when it
-// is large enough.
-func zeroLoads(buf []rts.CoreLoad, m int) []rts.CoreLoad {
-	if cap(buf) < m {
-		buf = make([]rts.CoreLoad, m)
-	}
-	buf = buf[:m]
-	for i := range buf {
-		buf[i] = rts.CoreLoad{}
-	}
-	return buf
-}

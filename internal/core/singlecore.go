@@ -16,30 +16,20 @@ import (
 // It takes the raw real-time taskset (not a partition) because the scheme
 // repartitions onto M-1 cores itself, using heuristic h (the paper uses
 // best-fit). The returned assignment places every security task on core M-1.
+// It is infeasible when m < 2, when any task is invalid, or when the
+// real-time tasks do not fit on m-1 cores.
 func SingleCore(m int, rt []rts.RTTask, sec []rts.SecurityTask, h partition.Heuristic) *Result {
-	in, err := NewSingleCoreInput(m, rt, sec, h)
-	if err != nil {
-		return newInfeasible("singlecore", err.Error())
-	}
-	return SingleCoreInput(in)
-}
-
-// NewSingleCoreInput prepares the SingleCore scheme's Input: the real-time
-// tasks are packed onto cores 0..m-2 with heuristic h, leaving core m-1
-// dedicated to security tasks. It errs when m < 2, when any task is invalid,
-// or when the real-time tasks do not fit on m-1 cores.
-func NewSingleCoreInput(m int, rt []rts.RTTask, sec []rts.SecurityTask, h partition.Heuristic) (*Input, error) {
 	if m < 2 {
-		return nil, fmt.Errorf("core: singlecore needs at least 2 cores (1 for security), got %d", m)
+		return newInfeasible("singlecore", fmt.Sprintf("core: singlecore needs at least 2 cores (1 for security), got %d", m))
 	}
 	if err := rts.ValidateAll(rt, sec); err != nil {
-		return nil, err
+		return newInfeasible("singlecore", err.Error())
 	}
 	part, err := partition.PartitionRT(rt, m-1, h)
 	if err != nil {
-		return nil, fmt.Errorf("core: real-time tasks do not fit on %d cores: %w", m-1, err)
+		return newInfeasible("singlecore", fmt.Sprintf("core: real-time tasks do not fit on %d cores: %v", m-1, err))
 	}
-	return NewInput(m, rt, part.CoreOf, sec)
+	return SingleCoreInput(&Input{M: m, RT: rt, RTPartition: part.CoreOf, Sec: sec})
 }
 
 // SingleCoreInput mirrors SingleCore but reuses an existing Input whose RT

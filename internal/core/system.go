@@ -18,7 +18,6 @@ import (
 	"strings"
 	"sync"
 
-	"hydra/internal/partition"
 	"hydra/internal/rts"
 )
 
@@ -268,7 +267,7 @@ func Verify(in *Input, r *Result) error {
 	// real-time tasks plus already-walked (higher-priority) security tasks.
 	sc := acquireScratch()
 	defer releaseScratch(sc)
-	sc.committed = zeroLoads(sc.committed, in.M)
+	sc.committed = filled(sc.committed, in.M, rts.CoreLoad{})
 	committed := sc.committed
 	for _, i := range order {
 		s := in.Sec[i]
@@ -284,15 +283,4 @@ func Verify(in *Input, r *Result) error {
 		committed[c].AddPeriodic(s.C, ts)
 	}
 	return nil
-}
-
-// PartitionForHydra partitions the real-time tasks across all M cores with
-// the given heuristic — the RT-side preparation step the paper assumes for
-// HYDRA and OPT (Sec. II-A / IV-B).
-func PartitionForHydra(rt []rts.RTTask, m int, h partition.Heuristic) ([]int, error) {
-	p, err := partition.PartitionRT(rt, m, h)
-	if err != nil {
-		return nil, err
-	}
-	return p.CoreOf, nil
 }

@@ -268,7 +268,7 @@ func TestUAVWorkloadSchedulableSingleCore(t *testing.T) {
 }
 
 func TestRTTasksTotalUtilHelper(t *testing.T) {
-	if got := rtTasksTotalUtil(uav.RTTasks()); got <= 0.5 || got >= 1 {
+	if got := rts.TotalRTUtilization(uav.RTTasks()); got <= 0.5 || got >= 1 {
 		t.Fatalf("UAV RT utilization = %v, want in (0.5, 1) per the case-study design", got)
 	}
 }

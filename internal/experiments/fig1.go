@@ -125,11 +125,11 @@ func runFig1(ctx context.Context, cfg Fig1Config, hooks Hooks) (*Fig1Result, err
 		// Identical attack sequence for every scheme: paired comparison.
 		attacks := detect.SampleAttacks(rng, c.Attacks, len(sec), c.Horizon, 0.8)
 
-		part, err := core.PartitionForHydra(rt, m, partition.BestFit)
+		part, err := partition.PartitionRT(rt, m, partition.BestFit)
 		if err != nil {
 			return Fig1Row{}, fmt.Errorf("M=%d: partition RT tasks: %w", m, err)
 		}
-		in, err := core.NewInput(m, rt, part, sec)
+		in, err := core.NewInput(m, rt, part.CoreOf, sec)
 		if err != nil {
 			return Fig1Row{}, fmt.Errorf("M=%d: %w", m, err)
 		}

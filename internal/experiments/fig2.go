@@ -137,11 +137,9 @@ func runFig2(ctx context.Context, cfg Fig2Config, hooks Hooks) (*Fig2Result, err
 	// on the shared input: it rejects if that packing failed or used core M-1.
 	selfPartitions := make([]bool, len(allocs))
 	for i, a := range allocs {
-		if a.Name() == "singlecore" {
-			allocs[i] = core.NewSingleCoreAllocator(c.Heuristic)
-			if c.Heuristic == partition.FirstFit || c.Heuristic == partition.BestFit {
-				allocs[i] = core.NewAllocator("singlecore", core.SingleCoreInput)
-			}
+		allocs[i] = core.WithHeuristic(a, c.Heuristic)
+		if core.SelfPartitions(allocs[i]) && (c.Heuristic == partition.FirstFit || c.Heuristic == partition.BestFit) {
+			allocs[i] = core.NewAllocator("singlecore", core.SingleCoreInput)
 		}
 		selfPartitions[i] = core.SelfPartitions(allocs[i])
 	}

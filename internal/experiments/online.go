@@ -306,15 +306,7 @@ func runOnlineCell(c OnlineConfig, scheme string, utilFrac, rate float64, rng *r
 			res.Rejected++
 		}
 		if res.Attempts%c.ColdEvery == 0 {
-			snap := sys.Snapshot()
-			rt := make([]rts.RTTask, len(snap.RT))
-			for i := range snap.RT {
-				rt[i] = snap.RT[i].Task
-			}
-			sec := make([]rts.SecurityTask, len(snap.Sec))
-			for i := range snap.Sec {
-				sec[i] = snap.Sec[i].Task
-			}
+			rt, sec := sys.Snapshot().Tasks()
 			start := time.Now() //lint:allow detpath feeds ColdNS, a Timing-section field excluded from deterministic points
 			if p, err := partition.PartitionRT(rt, c.M, c.Heuristic); err == nil {
 				if in, err := core.NewInput(c.M, rt, p.CoreOf, sec); err == nil {

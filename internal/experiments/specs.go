@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"hydra/internal/core"
-	"hydra/internal/rts"
 	"hydra/internal/sim"
 )
 
@@ -55,19 +54,8 @@ func BuildSimSpecs(in *core.Input, res *core.Result) ([][]sim.TaskSpec, []int, [
 	}
 
 	// Security ranks by TMax (paper's priority rule).
-	secOrder := make([]int, len(in.Sec))
-	for i := range secOrder {
-		secOrder[i] = i
-	}
-	sort.SliceStable(secOrder, func(a, b int) bool {
-		sa, sb := in.Sec[secOrder[a]], in.Sec[secOrder[b]]
-		if sa.TMax != sb.TMax {
-			return sa.TMax < sb.TMax
-		}
-		return sa.Name < sb.Name
-	})
 	secRank := make([]int, len(in.Sec))
-	for rank, i := range secOrder {
+	for rank, i := range core.SecurityPriorityOrder(in.Sec) {
 		secRank[i] = rank
 	}
 
@@ -91,6 +79,3 @@ func BuildSimSpecs(in *core.Input, res *core.Result) ([][]sim.TaskSpec, []int, [
 	}
 	return perCore, taskCore, taskIndex, nil
 }
-
-// rtTasksTotalUtil is a tiny shared helper for reporting.
-func rtTasksTotalUtil(tasks []rts.RTTask) float64 { return rts.TotalRTUtilization(tasks) }

@@ -338,24 +338,55 @@ func (s *System) M() int { return s.m }
 // when no core admits, the returned error is a *Rejection carrying one
 // verdict per core.
 func (s *System) AddSecurity(t rts.SecurityTask) (Placement, error) {
-	if err := t.Validate(); err != nil {
-		return Placement{}, err
+	return s.admit(t.Name, KindSecurity, t.Validate(), func() (Placement, *Rejection, error) { return s.admitSecurityLocked(t) })
+}
+
+// AddRT try-admits a real-time task: the system's partition heuristic picks
+// among the cores that (a) stay exact-RTA schedulable with t added and
+// (b) keep every committed security task within its committed period under
+// the grown interference. When no core qualifies the returned error is a
+// *Rejection.
+func (s *System) AddRT(t rts.RTTask) (Placement, error) {
+	return s.admit(t.Name, KindRT, t.Validate(), func() (Placement, *Rejection, error) { return s.admitRTLocked(t) })
+}
+
+// admit is the admission path AddRT and AddSecurity share. A task that
+// failed validation (validateErr) or reuses a committed name is refused
+// before anything is logged. Otherwise try runs one admission trial under
+// the lock: its error passes through, and a rejection is logged once and
+// returned with its event version. The rejection grows the streak of the
+// ReallocateAfter policy; once the streak reaches the threshold it resets,
+// the system reallocates (the cold re-run re-tunes every adapted security
+// period and re-derives analysis priorities) and try runs once more. A
+// failed retry is not logged again: the caller gets the first rejection.
+func (s *System) admit(name string, kind TaskKind, validateErr error, try func() (Placement, *Rejection, error)) (Placement, error) {
+	if validateErr != nil {
+		return Placement{}, validateErr
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Surface the long-lived state's staged RTA counters after each batch;
 	// runs under the lock (defers are LIFO).
 	defer s.st.FlushMetrics()
-	if _, dup := s.names[t.Name]; dup {
-		return Placement{}, fmt.Errorf("%w: %q", ErrDuplicateName, t.Name)
+	if _, dup := s.names[name]; dup {
+		return Placement{}, fmt.Errorf("%w: %q", ErrDuplicateName, name)
 	}
-	p, rej, err := s.admitSecurityLocked(t)
+	p, rej, err := try()
 	if err != nil || rej == nil {
 		return p, err
 	}
-	rej.Version = s.logEvent(Event{Type: EventReject, Task: t.Name, Kind: KindSecurity, Core: -1, Reason: rej.Error()})
-	if p, ok := s.autoReallocateLocked(func() *Rejection { var r *Rejection; p, r, err = s.admitSecurityLocked(t); return r }, &p); ok && err == nil {
-		return p, nil
+	rej.Version = s.logEvent(Event{Type: EventReject, Task: name, Kind: kind, Core: -1, Reason: rej.Error()})
+	s.rejects++
+	if s.reallocAfter <= 0 || s.rejects < s.reallocAfter {
+		return Placement{}, rej
+	}
+	s.rejects = 0
+	// A failed cold run (bin packing is not monotone) keeps the state; the
+	// streak was reset, so the next rejection starts over.
+	if s.reallocateLocked() == nil {
+		if p, retryRej, err := try(); err == nil && retryRej == nil {
+			return p, nil
+		}
 	}
 	return Placement{}, rej
 }
@@ -399,60 +430,6 @@ func (s *System) admitSecurityLocked(t rts.SecurityTask) (Placement, *Rejection,
 	v := s.logEvent(Event{Type: EventAdmit, Task: t.Name, Kind: KindSecurity, Core: c,
 		PeriodMS: period, Tightness: t.Tightness(period)})
 	return Placement{Core: c, Period: period, Tightness: t.Tightness(period), Version: v}, nil, nil
-}
-
-// autoReallocateLocked implements the ReallocateAfter policy after a
-// just-logged rejection: it grows the rejection streak, and once the streak
-// reaches the threshold it reallocates (the cold re-run re-tunes every
-// adapted security period and re-derives analysis priorities) and retries
-// the rejected admission exactly once via retry, which must write the retry
-// outcome into *p. It reports whether the retry admitted. Callers hold s.mu
-// and have already logged the triggering rejection; a failed retry is not
-// logged again.
-func (s *System) autoReallocateLocked(retry func() *Rejection, p *Placement) (Placement, bool) {
-	s.rejects++
-	if s.reallocAfter <= 0 || s.rejects < s.reallocAfter {
-		return Placement{}, false
-	}
-	s.rejects = 0
-	if err := s.reallocateLocked(); err != nil {
-		// The cold run rejected the committed taskset (bin packing is not
-		// monotone); the streak was reset so the next rejection starts over.
-		return Placement{}, false
-	}
-	if rej := retry(); rej != nil {
-		return Placement{}, false
-	}
-	return *p, true
-}
-
-// AddRT try-admits a real-time task: the system's partition heuristic picks
-// among the cores that (a) stay exact-RTA schedulable with t added and
-// (b) keep every committed security task within its committed period under
-// the grown interference. When no core qualifies the returned error is a
-// *Rejection.
-func (s *System) AddRT(t rts.RTTask) (Placement, error) {
-	if err := t.Validate(); err != nil {
-		return Placement{}, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.st.FlushMetrics()
-	if _, dup := s.names[t.Name]; dup {
-		return Placement{}, fmt.Errorf("%w: %q", ErrDuplicateName, t.Name)
-	}
-	p, rej, err := s.admitRTLocked(t)
-	if err != nil {
-		return Placement{}, err
-	}
-	if rej == nil {
-		return p, nil
-	}
-	rej.Version = s.logEvent(Event{Type: EventReject, Task: t.Name, Kind: KindRT, Core: -1, Reason: rej.Error()})
-	if p, ok := s.autoReallocateLocked(func() *Rejection { var r *Rejection; p, r, err = s.admitRTLocked(t); return r }, &p); ok && err == nil {
-		return p, nil
-	}
-	return Placement{}, rej
 }
 
 // admitRTLocked runs one real-time admission trial on the committed state,
@@ -578,14 +555,7 @@ func (s *System) Reallocate() (Snapshot, error) {
 // the outcome; callers hold s.mu. A successful reallocation resets the
 // rejection streak.
 func (s *System) reallocateLocked() error {
-	rt := make([]rts.RTTask, len(s.rt))
-	for i := range s.rt {
-		rt[i] = s.rt[i].Task
-	}
-	sec := make([]rts.SecurityTask, len(s.sec))
-	for i := range s.sec {
-		sec[i] = s.sec[i].Task
-	}
+	rt, sec := Snapshot{RT: s.rt, Sec: s.sec}.Tasks()
 	if err := s.commitColdAllocation(rt, sec, nil); err != nil {
 		s.logEvent(Event{Type: EventReallocateReject, Core: -1, Reason: err.Error()})
 		return fmt.Errorf("online: reallocate: %w (committed state unchanged)", err)
@@ -618,15 +588,21 @@ func (s *System) WeightSum() float64 {
 	return sum
 }
 
-// Snapshot is a point-in-time copy of a system's committed state.
+// Snapshot is a point-in-time copy of a system's committed state: its
+// creation parameters, the placements in commit order and every
+// decision-affecting counter (the event version, the NextFit cursor, the
+// auto-reallocate rejection streak). It is what reads render, what a
+// persistence snapshot stores, and what RestoreSystem rebuilds a system from.
 type Snapshot struct {
-	ID        string
-	Scheme    string
-	Heuristic partition.Heuristic
-	M         int
-	Version   uint64
-	RT        []PlacedRT
-	Sec       []PlacedSec
+	ID           string
+	Scheme       string
+	Heuristic    partition.Heuristic
+	M            int
+	Version      uint64
+	Cursor       int
+	RejectStreak int
+	RT           []PlacedRT
+	Sec          []PlacedSec
 	// Cumulative is the Eq. 3 weighted tightness over the committed
 	// security tasks.
 	Cumulative float64
@@ -641,75 +617,56 @@ func (s *System) Snapshot() Snapshot {
 
 func (s *System) snapshotLocked() Snapshot {
 	return Snapshot{
-		ID:         s.id,
-		Scheme:     s.scheme,
-		Heuristic:  s.heuristic,
-		M:          s.m,
-		Version:    s.version,
-		RT:         append([]PlacedRT(nil), s.rt...),
-		Sec:        append([]PlacedSec(nil), s.sec...),
-		Cumulative: s.cumulativeLocked(),
-	}
-}
-
-// PersistedState is everything beyond the creation parameters a restarted
-// process needs to continue a system's decision sequence exactly where it
-// stopped: the committed placements in commit order plus the internal
-// decision-affecting counters (the event-version counter, the NextFit
-// cursor, the auto-reallocate rejection streak). It is the payload of a
-// persistence snapshot; RestoreSystem is its inverse.
-type PersistedState struct {
-	Version      uint64
-	Cursor       int
-	RejectStreak int
-	RT           []PlacedRT
-	Sec          []PlacedSec
-}
-
-// PersistedState snapshots the system for persistence.
-func (s *System) PersistedState() PersistedState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return PersistedState{
+		ID:           s.id,
+		Scheme:       s.scheme,
+		Heuristic:    s.heuristic,
+		M:            s.m,
 		Version:      s.version,
 		Cursor:       s.cursor,
 		RejectStreak: s.rejects,
 		RT:           append([]PlacedRT(nil), s.rt...),
 		Sec:          append([]PlacedSec(nil), s.sec...),
+		Cumulative:   s.cumulativeLocked(),
 	}
 }
 
-// RestoreSystem rebuilds a System from a persisted state without re-running
-// any allocation: the analysis state is re-seeded from the committed
-// placements in commit order — the same order an uninterrupted process
-// maintains through its admissions and cold-reseeding removals — so every
-// future decision (admit verdicts, period adaptations, Reallocate outcomes)
-// and every future event version is identical to the never-restarted
-// process's. A state that fails Verify is refused. No event is logged; the
-// version counter resumes where the persisted state left it. reallocAfter
-// restores the auto-reallocate knob.
-func RestoreSystem(id, scheme string, h partition.Heuristic, m, reallocAfter int, ps PersistedState) (*System, error) {
-	rt := make([]rts.RTTask, len(ps.RT))
-	for i, p := range ps.RT {
+// Tasks returns the committed taskset, each population in commit order.
+func (snap Snapshot) Tasks() ([]rts.RTTask, []rts.SecurityTask) {
+	rt := make([]rts.RTTask, len(snap.RT))
+	for i, p := range snap.RT {
 		rt[i] = p.Task
 	}
-	sec := make([]rts.SecurityTask, len(ps.Sec))
-	for i, p := range ps.Sec {
+	sec := make([]rts.SecurityTask, len(snap.Sec))
+	for i, p := range snap.Sec {
 		sec[i] = p.Task
 	}
-	s, err := newSystem(id, scheme, h, m, rt, sec)
+	return rt, sec
+}
+
+// RestoreSystem rebuilds a System from a snapshot without re-running any
+// allocation: the analysis state is re-seeded from the committed placements
+// in commit order — the same order an uninterrupted process maintains
+// through its admissions and cold-reseeding removals — so every future
+// decision (admit verdicts, period adaptations, Reallocate outcomes) and
+// every future event version is identical to the never-restarted process's.
+// A snapshot that fails Verify is refused. No event is logged; the counters
+// resume where the snapshot left them, and Cumulative is recomputed rather
+// than read. reallocAfter restores the auto-reallocate knob.
+func RestoreSystem(reallocAfter int, snap Snapshot) (*System, error) {
+	rt, sec := snap.Tasks()
+	s, err := newSystem(snap.ID, snap.Scheme, snap.Heuristic, snap.M, rt, sec)
 	if err != nil {
 		return nil, err
 	}
-	if err := Verify(Snapshot{M: m, RT: ps.RT, Sec: ps.Sec}); err != nil {
+	if err := Verify(snap); err != nil {
 		return nil, fmt.Errorf("online: restore: %w", err)
 	}
-	s.reallocAfter, s.cursor, s.version, s.rejects = max(reallocAfter, 0), ps.Cursor, ps.Version, ps.RejectStreak
-	for _, p := range ps.RT {
+	s.reallocAfter, s.cursor, s.version, s.rejects = max(reallocAfter, 0), snap.Cursor, snap.Version, snap.RejectStreak
+	for _, p := range snap.RT {
 		s.st.SeedRT(p.Core, p.Task)
 	}
-	s.rt = append(s.rt, ps.RT...)
-	s.sec = append(s.sec, ps.Sec...)
+	s.rt = append(s.rt, snap.RT...)
+	s.sec = append(s.sec, snap.Sec...)
 	return s, nil
 }
 

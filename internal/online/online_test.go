@@ -154,11 +154,14 @@ type reachableRun struct {
 // [0, k). AddRT and AddSecurity take the next arrival from a 0.9·M pool,
 // Remove takes a committed task (which may arrive again later), and the rest
 // reallocate. After every op it checks that the state passes online.Verify,
-// that RestoreSystem(PersistedState()) gives the same snapshot, and that
-// every core a real-time arrival was refused on for an exact-RTA miss also
-// fails rts.CoreSchedulable, on a fresh state, with the arrival added to
-// that core's committed tasks: the incremental analysis refuses nothing the
-// cold one admits. It returns the number of rejections.
+// that RestoreSystem of its snapshot gives the same snapshot, counters
+// included, and that every core a real-time arrival was refused on for an
+// exact-RTA miss also fails rts.CoreSchedulable, on a fresh state, with the
+// arrival added to that core's committed tasks: the incremental analysis
+// refuses nothing the cold one admits. On every 8th op it also checks that
+// Reallocate on the restored copy and NewSystem on the snapshot's tasks
+// fail together or commit the same placements and cumulative tightness. It
+// returns the number of rejections.
 func checkReachableOps(t *testing.T, run reachableRun, n int, pick func(int) int) (rejects int) {
 	t.Helper()
 	scheme, h, m := run.scheme, run.h, run.m
@@ -228,12 +231,27 @@ func checkReachableOps(t *testing.T, run reachableRun, n int, pick func(int) int
 		if err := online.Verify(after); err != nil {
 			t.Fatalf("%s %v M=%d op %d: reachable state fails Verify: %v", scheme, h, m, op, err)
 		}
-		restored, err := online.RestoreSystem("g", scheme, h, m, run.reallocAfter, s.PersistedState())
+		restored, err := online.RestoreSystem(run.reallocAfter, after)
 		if err != nil {
 			t.Fatalf("%s %v M=%d op %d: reachable state not restorable: %v", scheme, h, m, op, err)
 		}
 		if got := restored.Snapshot(); !reflect.DeepEqual(got, after) {
 			t.Fatalf("%s %v M=%d op %d: restored state differs:\n%+v\nwant\n%+v", scheme, h, m, op, got, after)
+		}
+		if op%8 != 0 {
+			continue
+		}
+		rt, sec := after.Tasks()
+		realloc, err1 := restored.Reallocate()
+		cold, err2 := online.NewSystem("g", scheme, h, m, rt, nil, sec)
+		if (err1 == nil) != (err2 == nil) {
+			t.Fatalf("%s %v M=%d op %d: Reallocate of the restored state: %v; NewSystem on its tasks: %v", scheme, h, m, op, err1, err2)
+		}
+		if err2 != nil {
+			continue
+		}
+		if want := cold.Snapshot(); !reflect.DeepEqual(realloc.RT, want.RT) || !reflect.DeepEqual(realloc.Sec, want.Sec) || realloc.Cumulative != want.Cumulative {
+			t.Fatalf("%s %v M=%d op %d: Reallocate of the restored state differs from NewSystem on its tasks:\n%+v\nwant\n%+v", scheme, h, m, op, realloc, want)
 		}
 	}
 	return rejects
@@ -401,8 +419,8 @@ func TestRemoveDistinguishesEqualValuedSecurityTasks(t *testing.T) {
 	if !reflect.DeepEqual(post.Sec, survivors) {
 		t.Fatalf("after removing twin-a:\n%+v\nwant\n%+v", post.Sec, survivors)
 	}
-	restored, err := online.RestoreSystem("t", "hydra", partition.BestFit, 1, 0,
-		online.PersistedState{Version: post.Version, RT: post.RT, Sec: survivors})
+	restored, err := online.RestoreSystem(0, online.Snapshot{ID: "t", Scheme: "hydra", Heuristic: partition.BestFit, M: 1,
+		Version: post.Version, RT: post.RT, Sec: survivors})
 	if err != nil {
 		t.Fatal(err)
 	}

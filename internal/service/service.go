@@ -434,17 +434,23 @@ func readRequest(w http.ResponseWriter, r *http.Request, decode func(body []byte
 	return true
 }
 
-// resolveScheme maps a request's scheme name (empty = DefaultScheme) to an
-// allocator.
-func resolveScheme(name string) (core.Allocator, error) {
+// resolveScheme maps a request's scheme name (empty = DefaultScheme) and
+// heuristic name to an allocator and heuristic, reporting a bad scheme
+// before a bad heuristic. singlecore repacks its real-time tasks with that
+// heuristic (core.WithHeuristic).
+func resolveScheme(name, heuristic string) (core.Allocator, partition.Heuristic, error) {
 	if name == "" {
 		name = DefaultScheme
 	}
 	allocs, err := core.Resolve(name)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return allocs[0], nil
+	h, err := partition.ParseHeuristic(heuristic)
+	if err != nil {
+		return nil, 0, err
+	}
+	return core.WithHeuristic(allocs[0], h), h, nil
 }
 
 // resolveResultsVersion maps a request's results_version (0 = absent) to a
@@ -462,11 +468,7 @@ func resolveResultsVersion(v int) (stats.RNGVersion, error) {
 // recording then costs nothing. The returned body is the exact bytes every
 // identical request receives.
 func (s *Server) allocate(tr *obs.Trace, doc *tasksetio.Document, schemeName, heuristicName string, resultsVersion int) ([]byte, bool, int, error) {
-	alloc, err := resolveScheme(schemeName)
-	if err != nil {
-		return nil, false, http.StatusBadRequest, err
-	}
-	h, err := partition.ParseHeuristic(heuristicName)
+	alloc, h, err := resolveScheme(schemeName, heuristicName)
 	if err != nil {
 		return nil, false, http.StatusBadRequest, err
 	}
@@ -574,11 +576,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Resolve shared parameters once so a bad scheme fails the whole batch
 	// up front instead of per cell.
-	if _, err := resolveScheme(req.Scheme); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if _, err := partition.ParseHeuristic(req.Heuristic); err != nil {
+	if _, _, err := resolveScheme(req.Scheme, req.Heuristic); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -679,12 +677,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "horizon_ms must be in (0, %d], got %g", maxSimHorizonMS, horizon)
 		return
 	}
-	alloc, err := resolveScheme(req.Scheme)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	h, err := partition.ParseHeuristic(req.Heuristic)
+	alloc, h, err := resolveScheme(req.Scheme, req.Heuristic)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

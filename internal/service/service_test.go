@@ -253,6 +253,68 @@ func TestAllocateInfeasibleIsAVerdict(t *testing.T) {
 	}
 }
 
+// singlecoreTaskset separates the heuristics singlecore repacks with: on
+// cores 0 and 1 (core 2 is the security core), best-fit stacks every
+// real-time task on core 0 and worst-fit alternates them.
+const singlecoreTaskset = `{
+  "cores": 3,
+  "rt_tasks": [
+    {"name": "a", "wcet_ms": 30, "period_ms": 100},
+    {"name": "b", "wcet_ms": 30, "period_ms": 100},
+    {"name": "c", "wcet_ms": 20, "period_ms": 100},
+    {"name": "d", "wcet_ms": 10, "period_ms": 100}
+  ],
+  "security_tasks": [
+    {"name": "s", "wcet_ms": 5, "desired_period_ms": 100, "max_period_ms": 1000}
+  ]
+}`
+
+// TestSinglecoreRepacksWithHeuristic: /v1/allocate, /v1/allocate/batch and
+// /v1/simulate repack singlecore's real-time tasks with the request's
+// heuristic, as hydra -scheme singlecore -heuristic does. Each route runs on
+// a fresh server, so no answer comes from another route's cache entry.
+func TestSinglecoreRepacksWithHeuristic(t *testing.T) {
+	for _, tc := range []struct {
+		heuristic string
+		cores     []int // rt_partition of a, b, c, d
+		simTasks  []int // tasks simulated per core
+	}{
+		{"best-fit", []int{0, 0, 0, 0}, []int{4, 0, 1}},
+		{"worst-fit", []int{0, 1, 0, 1}, []int{2, 2, 1}},
+	} {
+		extra := fmt.Sprintf(`"scheme": "singlecore", "heuristic": %q`, tc.heuristic)
+		w := post(t, newServer(t), "/v1/allocate/batch", fmt.Sprintf(`{"tasksets": [%s], %s}`, singlecoreTaskset, extra))
+		var batch BatchResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &batch); err != nil || len(batch.Results) != 1 {
+			t.Fatalf("%s batch: status %d, %v: %s", tc.heuristic, w.Code, err, w.Body)
+		}
+		for route, body := range map[string][]byte{
+			"allocate": post(t, newServer(t), "/v1/allocate", allocateBody(singlecoreTaskset, extra)).Body.Bytes(),
+			"batch":    batch.Results[0],
+		} {
+			var rj tasksetio.ResultJSON
+			if err := json.Unmarshal(body, &rj); err != nil || !rj.Schedulable || len(rj.RTPartition) != len(tc.cores) {
+				t.Fatalf("%s %s: %v: %s", tc.heuristic, route, err, body)
+			}
+			for i, p := range rj.RTPartition {
+				if p.Core != tc.cores[i] {
+					t.Fatalf("%s %s: rt_partition %+v, want cores %v", tc.heuristic, route, rj.RTPartition, tc.cores)
+				}
+			}
+		}
+		w = post(t, newServer(t), "/v1/simulate", allocateBody(singlecoreTaskset, extra))
+		var sr SimulateResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &sr); err != nil || !sr.Schedulable || len(sr.Cores) != len(tc.simTasks) {
+			t.Fatalf("%s simulate: status %d, %v: %s", tc.heuristic, w.Code, err, w.Body)
+		}
+		for c, core := range sr.Cores {
+			if core.Tasks != tc.simTasks[c] {
+				t.Fatalf("%s simulate: cores %+v, want %v tasks per core", tc.heuristic, sr.Cores, tc.simTasks)
+			}
+		}
+	}
+}
+
 // nanAllocator answers unschedulable with a NaN cumulative tightness, a
 // document encoding/json refuses.
 type nanAllocator struct{}
@@ -289,6 +351,10 @@ func TestAllocateBadRequests(t *testing.T) {
 		if w := post(t, s, "/v1/allocate", body); w.Code != http.StatusBadRequest {
 			t.Errorf("body %q: status %d, want 400", body, w.Code)
 		}
+	}
+	// A bad scheme is reported before a bad heuristic.
+	if w := post(t, s, "/v1/allocate", allocateBody(sampleTaskset, `"scheme": "bogus", "heuristic": "bogus"`)); !strings.Contains(w.Body.String(), "unknown scheme") {
+		t.Errorf("bad scheme and heuristic: status %d: %s", w.Code, w.Body)
 	}
 	// Wrong method.
 	w := httptest.NewRecorder()

@@ -9,7 +9,6 @@ import (
 
 	"hydra/internal/online"
 	"hydra/internal/partition"
-	"hydra/internal/rts"
 	"hydra/internal/syspersist"
 	"hydra/internal/tasksetio"
 )
@@ -267,19 +266,11 @@ func (s *Server) handleSystemAddTask(w http.ResponseWriter, r *http.Request) {
 	)
 	sp = tr.StartSpan("persist-apply")
 	if req.RTTask != nil {
-		t := *req.RTTask
-		deadline := t.Deadline
-		if deadline == 0 {
-			deadline = t.Period
-		}
-		name, kind = t.Name, online.KindRT
-		placement, err = sys.AddRT(rts.RTTask{Name: t.Name, C: t.WCET, T: t.Period, D: deadline})
+		name, kind = req.RTTask.Name, online.KindRT
+		placement, err = sys.AddRT(req.RTTask.Task())
 	} else {
-		t := *req.SecurityTask
-		name, kind = t.Name, online.KindSecurity
-		placement, err = sys.AddSecurity(rts.SecurityTask{
-			Name: t.Name, C: t.WCET, TDes: t.DesiredPeriod, TMax: t.MaxPeriod, Weight: t.Weight,
-		})
+		name, kind = req.SecurityTask.Name, online.KindSecurity
+		placement, err = sys.AddSecurity(req.SecurityTask.Task())
 	}
 	sp.End()
 	if err != nil {

@@ -268,10 +268,10 @@ func (r *Registry) buildSystem(id, scheme string, h partition.Heuristic, m int, 
 		SecurityTasks:   []tasksetio.SecurityTaskJSON{},
 	}
 	for _, t := range rt {
-		man.RTTasks = append(man.RTTasks, rtToJSON(t))
+		man.RTTasks = append(man.RTTasks, tasksetio.RTTaskToJSON(t))
 	}
 	for _, t := range sec {
-		man.SecurityTasks = append(man.SecurityTasks, secToJSON(t))
+		man.SecurityTasks = append(man.SecurityTasks, tasksetio.SecurityTaskToJSON(t))
 	}
 	dir := filepath.Join(r.home, id)
 	store, err := CreateStore(dir, man, r.fsync, r.obs)

@@ -15,12 +15,13 @@ import (
 	"hydra/internal/rts"
 	"hydra/internal/stats"
 	"hydra/internal/taskgen"
+	"hydra/internal/tasksetio"
 )
 
 // snapshotOf is the reflective reference for renderSnapshot: the
 // SnapshotFile whose json.MarshalIndent rendering every snapshot.json must
 // equal.
-func snapshotOf(ps online.PersistedState, seq uint64) SnapshotFile {
+func snapshotOf(ps online.Snapshot, seq uint64) SnapshotFile {
 	sn := SnapshotFile{
 		Seq:           seq,
 		Version:       ps.Version,
@@ -30,17 +31,17 @@ func snapshotOf(ps online.PersistedState, seq uint64) SnapshotFile {
 		SecurityTasks: []PlacedSecJSON{},
 	}
 	for _, p := range ps.RT {
-		sn.RTTasks = append(sn.RTTasks, PlacedRTJSON{RTTaskJSON: rtToJSON(p.Task), Core: p.Core})
+		sn.RTTasks = append(sn.RTTasks, PlacedRTJSON{RTTaskJSON: tasksetio.RTTaskToJSON(p.Task), Core: p.Core})
 	}
 	for _, p := range ps.Sec {
-		sn.SecurityTasks = append(sn.SecurityTasks, PlacedSecJSON{SecurityTaskJSON: secToJSON(p.Task), Core: p.Core, PeriodMS: p.Period})
+		sn.SecurityTasks = append(sn.SecurityTasks, PlacedSecJSON{SecurityTaskJSON: tasksetio.SecurityTaskToJSON(p.Task), Core: p.Core, PeriodMS: p.Period})
 	}
 	return sn
 }
 
 // referenceSnapshot is the snapshot.json the reflective writer produced for
 // ps at seq, or nil when encoding/json refuses it.
-func referenceSnapshot(ps online.PersistedState, seq uint64) []byte {
+func referenceSnapshot(ps online.Snapshot, seq uint64) []byte {
 	data, err := json.MarshalIndent(snapshotOf(ps, seq), "", "  ")
 	if err != nil {
 		return nil
@@ -70,8 +71,8 @@ func randName(rng *rand.Rand, i int) string {
 // randomState draws a persisted state field by field, without regard to
 // schedulability: lists may be empty, deadlines and weights zero, equal to
 // the period or anything else, and the reject streak nonzero.
-func randomState(rng *rand.Rand) online.PersistedState {
-	ps := online.PersistedState{
+func randomState(rng *rand.Rand) online.Snapshot {
+	ps := online.Snapshot{
 		Version:      rng.Uint64() >> uint(rng.Intn(64)),
 		Cursor:       rng.Intn(5) - 1,
 		RejectStreak: rng.Intn(3) * rng.Intn(4),
@@ -131,7 +132,7 @@ func TestWriteSnapshotRefusesNonFinite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	ps := online.PersistedState{Sec: []online.PlacedSec{{Task: rts.SecurityTask{Name: "s", C: 1, TDes: 10, TMax: 100}, Period: math.NaN()}}}
+	ps := online.Snapshot{Sec: []online.PlacedSec{{Task: rts.SecurityTask{Name: "s", C: 1, TDes: 10, TMax: 100}, Period: math.NaN()}}}
 	if err := st.WriteSnapshot(ps, 1); err == nil {
 		t.Fatal("WriteSnapshot of a NaN period succeeded")
 	}
@@ -213,7 +214,7 @@ func TestSnapshotFileMatchesEncodingJSON(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ps := ds.sys.PersistedState()
+			ps := ds.sys.Snapshot()
 			if ps.RejectStreak > 0 {
 				streaks++
 			}

@@ -34,7 +34,7 @@ import (
 
 	"hydra/internal/filelog"
 	"hydra/internal/online"
-	"hydra/internal/rts"
+	"hydra/internal/partition"
 	"hydra/internal/tasksetio"
 )
 
@@ -105,50 +105,28 @@ type SnapshotFile struct {
 	SecurityTasks []PlacedSecJSON `json:"security_tasks"`
 }
 
-func rtToJSON(t rts.RTTask) tasksetio.RTTaskJSON {
-	j := tasksetio.RTTaskJSON{Name: t.Name, WCET: t.C, Period: t.T}
-	if t.D != t.T {
-		j.Deadline = t.D
-	}
-	return j
-}
-
-func rtFromJSON(j tasksetio.RTTaskJSON) rts.RTTask {
-	d := j.Deadline
-	if d == 0 {
-		d = j.Period
-	}
-	return rts.RTTask{Name: j.Name, C: j.WCET, T: j.Period, D: d}
-}
-
-func secToJSON(t rts.SecurityTask) tasksetio.SecurityTaskJSON {
-	return tasksetio.SecurityTaskJSON{Name: t.Name, WCET: t.C, DesiredPeriod: t.TDes, MaxPeriod: t.TMax, Weight: t.Weight}
-}
-
-func secFromJSON(j tasksetio.SecurityTaskJSON) rts.SecurityTask {
-	return rts.SecurityTask{Name: j.Name, C: j.WCET, TDes: j.DesiredPeriod, TMax: j.MaxPeriod, Weight: j.Weight}
-}
-
-// renderSnapshot renders snapshot.json for a persisted state pinned to
+// renderSnapshot renders snapshot.json for a system's snapshot pinned to
 // op-log position seq: the bytes json.MarshalIndent gives the SnapshotFile
-// of that state, indented by two spaces, plus a newline. It reports false
-// when the state holds a NaN or infinite float, which encoding/json refuses.
-func renderSnapshot(ps online.PersistedState, seq uint64) ([]byte, bool) {
+// of that state, indented by two spaces, plus a newline. The manifest holds
+// the creation parameters, and Cumulative is recomputed on restore, so
+// neither is written. It reports false when the state holds a NaN or
+// infinite float, which encoding/json refuses.
+func renderSnapshot(snap online.Snapshot, seq uint64) ([]byte, bool) {
 	var w tasksetio.JSONWriter
 	w.BeginObject()
 	w.Key("seq").Uint(seq)
-	w.Key("version").Uint(ps.Version)
-	w.Key("cursor").Int(ps.Cursor)
-	if ps.RejectStreak != 0 {
-		w.Key("reject_streak").Int(ps.RejectStreak)
+	w.Key("version").Uint(snap.Version)
+	w.Key("cursor").Int(snap.Cursor)
+	if snap.RejectStreak != 0 {
+		w.Key("reject_streak").Int(snap.RejectStreak)
 	}
 	w.Key("rt_tasks").BeginArray()
-	for _, p := range ps.RT {
+	for _, p := range snap.RT {
 		w.Elem().PlacedRT(p.Task, p.Core)
 	}
 	w.EndArray()
 	w.Key("security_tasks").BeginArray()
-	for _, p := range ps.Sec {
+	for _, p := range snap.Sec {
 		w.Elem().BeginObject()
 		w.PlacedSecurity(p.Task, p.Core, p.Period)
 		w.EndObject()
@@ -158,16 +136,18 @@ func renderSnapshot(ps online.PersistedState, seq uint64) ([]byte, bool) {
 	return append(w.Buf, '\n'), w.OK()
 }
 
-// persistedState converts the snapshot back to the engine's restore form.
-func (sn *SnapshotFile) persistedState() online.PersistedState {
-	ps := online.PersistedState{Version: sn.Version, Cursor: sn.Cursor, RejectStreak: sn.RejectStreak}
+// snapshot converts the file back into the system's snapshot, with the
+// manifest supplying the creation parameters.
+func (sn *SnapshotFile) snapshot(man Manifest, h partition.Heuristic) online.Snapshot {
+	snap := online.Snapshot{ID: man.ID, Scheme: man.Scheme, Heuristic: h, M: man.Cores,
+		Version: sn.Version, Cursor: sn.Cursor, RejectStreak: sn.RejectStreak}
 	for _, p := range sn.RTTasks {
-		ps.RT = append(ps.RT, online.PlacedRT{Task: rtFromJSON(p.RTTaskJSON), Core: p.Core})
+		snap.RT = append(snap.RT, online.PlacedRT{Task: p.Task(), Core: p.Core})
 	}
 	for _, p := range sn.SecurityTasks {
-		ps.Sec = append(ps.Sec, online.PlacedSec{Task: secFromJSON(p.SecurityTaskJSON), Core: p.Core, Period: p.PeriodMS})
+		snap.Sec = append(snap.Sec, online.PlacedSec{Task: p.Task(), Core: p.Core, Period: p.PeriodMS})
 	}
-	return ps
+	return snap
 }
 
 // Store is one system's open persistence directory: the append handle on the
@@ -263,10 +243,10 @@ func (st *Store) Append(rec *Record) error {
 	return nil
 }
 
-// WriteSnapshot atomically replaces snapshot.json with the persisted state
+// WriteSnapshot atomically replaces snapshot.json with the system's snapshot
 // pinned to op-log position seq.
-func (st *Store) WriteSnapshot(ps online.PersistedState, seq uint64) error {
-	data, ok := renderSnapshot(ps, seq)
+func (st *Store) WriteSnapshot(snap online.Snapshot, seq uint64) error {
+	data, ok := renderSnapshot(snap, seq)
 	if !ok {
 		return fmt.Errorf("syspersist: snapshot of op %d holds a non-finite float", seq)
 	}

@@ -304,7 +304,7 @@ func TestRecoveryEdgeCases(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			ps := sh.PersistedState()
+			ps := sh.Snapshot()
 			sn := syspersist.SnapshotFile{Seq: 4, Version: ps.Version, Cursor: ps.Cursor, RTTasks: []syspersist.PlacedRTJSON{}}
 			for _, p := range ps.Sec {
 				sn.SecurityTasks = append(sn.SecurityTasks, syspersist.PlacedSecJSON{Core: p.Core, PeriodMS: p.Period,

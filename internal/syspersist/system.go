@@ -8,6 +8,7 @@ import (
 	"hydra/internal/online"
 	"hydra/internal/partition"
 	"hydra/internal/rts"
+	"hydra/internal/tasksetio"
 )
 
 // ErrClosed is returned by mutations on a system whose store has been closed:
@@ -82,11 +83,11 @@ func (d *DurableSystem) maybeSnapshotLocked() {
 	}
 	d.sinceSnap = 0
 	d.snapBusy = true
-	ps, seq := d.sys.PersistedState(), d.store.seq
+	snap, seq := d.sys.Snapshot(), d.store.seq
 	d.snapWG.Add(1)
 	go func() {
 		defer d.snapWG.Done()
-		_ = d.writeSnap(ps, seq) // best effort: failure only slows recovery
+		_ = d.writeSnap(snap, seq) // best effort: failure only slows recovery
 		d.mu.Lock()
 		d.snapBusy = false
 		d.mu.Unlock()
@@ -96,13 +97,13 @@ func (d *DurableSystem) maybeSnapshotLocked() {
 // writeSnap persists one captured state unless a newer snapshot already
 // landed (async writers and Flush may interleave; seq ordering keeps the
 // file monotonic so recovery never replays from an older cut than needed).
-func (d *DurableSystem) writeSnap(ps online.PersistedState, seq uint64) error {
+func (d *DurableSystem) writeSnap(snap online.Snapshot, seq uint64) error {
 	d.snapMu.Lock()
 	defer d.snapMu.Unlock()
 	if seq < d.snapSeq {
 		return nil
 	}
-	if err := d.store.WriteSnapshot(ps, seq); err != nil {
+	if err := d.store.WriteSnapshot(snap, seq); err != nil {
 		return err
 	}
 	d.snapSeq = seq
@@ -121,7 +122,7 @@ func (d *DurableSystem) AddRT(t rts.RTTask) (online.Placement, error) {
 	if d.sys.Has(t.Name) {
 		return online.Placement{}, fmt.Errorf("%w: %q", online.ErrDuplicateName, t.Name)
 	}
-	j := rtToJSON(t)
+	j := tasksetio.RTTaskToJSON(t)
 	if err := d.appendLocked(&Record{Op: OpAddRT, RT: &j}); err != nil {
 		return online.Placement{}, err
 	}
@@ -145,7 +146,7 @@ func (d *DurableSystem) AddSecurity(t rts.SecurityTask) (online.Placement, error
 	if sum := d.sys.WeightSum() + t.EffectiveWeight(); math.IsInf(sum, 0) {
 		return online.Placement{}, fmt.Errorf("syspersist: admitting %q makes the security task weights sum to %g; their sum must be finite", t.Name, sum)
 	}
-	j := secToJSON(t)
+	j := tasksetio.SecurityTaskToJSON(t)
 	if err := d.appendLocked(&Record{Op: OpAddSecurity, Security: &j}); err != nil {
 		return online.Placement{}, err
 	}
@@ -190,10 +191,10 @@ func (d *DurableSystem) Flush() error {
 		d.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrClosed, d.sys.ID())
 	}
-	ps, seq := d.sys.PersistedState(), d.store.seq
+	snap, seq := d.sys.Snapshot(), d.store.seq
 	d.sinceSnap = 0
 	d.mu.Unlock()
-	return d.writeSnap(ps, seq)
+	return d.writeSnap(snap, seq)
 }
 
 // close closes the store; further mutations return ErrClosed. Any in-flight
@@ -229,12 +230,12 @@ func applyRecord(sys *online.System, rec Record) error {
 		if rec.RT == nil {
 			return fmt.Errorf("syspersist: op %d: add-rt without rt payload", rec.Seq)
 		}
-		_, _ = sys.AddRT(rtFromJSON(*rec.RT)) //lint:allow walorder replay applies an op already on the log
+		_, _ = sys.AddRT(rec.RT.Task()) //lint:allow walorder replay applies an op already on the log
 	case OpAddSecurity:
 		if rec.Security == nil {
 			return fmt.Errorf("syspersist: op %d: add-security without security payload", rec.Seq)
 		}
-		_, _ = sys.AddSecurity(secFromJSON(*rec.Security)) //lint:allow walorder replay applies an op already on the log
+		_, _ = sys.AddSecurity(rec.Security.Task()) //lint:allow walorder replay applies an op already on the log
 	case OpRemove:
 		_, _ = sys.Remove(rec.Task) //lint:allow walorder replay applies an op already on the log
 	case OpReallocate:
@@ -273,18 +274,18 @@ func Recover(dir string, snapshotEvery int, fsync bool, obs Observer) (*DurableS
 	var sys *online.System
 	replayFrom := uint64(0)
 	if sn := readSnapshot(dir); sn != nil && sn.Seq <= lastSeq {
-		if restored, err := online.RestoreSystem(man.ID, man.Scheme, h, man.Cores, man.ReallocateAfter, sn.persistedState()); err == nil {
+		if restored, err := online.RestoreSystem(man.ReallocateAfter, sn.snapshot(man, h)); err == nil {
 			sys, replayFrom = restored, sn.Seq
 		}
 	}
 	if sys == nil {
 		rt := make([]rts.RTTask, 0, len(man.RTTasks))
 		for _, j := range man.RTTasks {
-			rt = append(rt, rtFromJSON(j))
+			rt = append(rt, j.Task())
 		}
 		sec := make([]rts.SecurityTask, 0, len(man.SecurityTasks))
 		for _, j := range man.SecurityTasks {
-			sec = append(sec, secFromJSON(j))
+			sec = append(sec, j.Task())
 		}
 		sys, err = online.NewSystem(man.ID, man.Scheme, h, man.Cores, rt, man.RTPartition, sec)
 		if err != nil {

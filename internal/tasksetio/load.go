@@ -29,12 +29,10 @@ func Load(path string, stdin io.Reader) (*Problem, error) {
 // BuildInput partitions the problem's real-time tasks (honoring a fixed
 // rt_partition in the document once it passes exact RTA, else running
 // heuristic h) and bundles a core.Input for the allocator. When no valid
-// partition over all M cores exists, schemes that repartition the real-time tasks themselves (see
-// core.SelfPartitions) still run against a placeholder partition; everyone
-// else gets the partitioning error.
-//
-// On success with a computed partition, p.RTPartition is filled in, so the
-// problem records the real-time placement the allocation was solved against.
+// partition over all M cores exists, schemes that repartition the real-time
+// tasks themselves (see core.SelfPartitions) still run against a placeholder
+// partition; everyone else gets the partitioning error. p is left as it is:
+// the partition a result was solved against is its Result.RTPartition.
 func BuildInput(p *Problem, alloc core.Allocator, h partition.Heuristic) (*core.Input, error) {
 	part, err := p.Partition(h)
 	if err != nil {
@@ -42,8 +40,6 @@ func BuildInput(p *Problem, alloc core.Allocator, h partition.Heuristic) (*core.
 			return nil, fmt.Errorf("partition real-time tasks: %w", err)
 		}
 		part = make([]int, len(p.RT))
-	} else if p.RTPartition == nil {
-		p.RTPartition = part
 	}
 	return core.NewInput(p.M, p.RT, part, p.Sec)
 }

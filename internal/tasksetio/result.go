@@ -44,7 +44,7 @@ type ResultJSON struct {
 
 // ResultToJSON converts a core.Result (indexed by the input order of the
 // problem it solved) to the named wire form. The RT partition recorded is the
-// effective one: the result's own when present, else the input's.
+// one the result was solved against, Result.RTPartition.
 func ResultToJSON(p *Problem, res *core.Result) *ResultJSON {
 	rj := &ResultJSON{
 		Scheme:              res.Scheme,
@@ -63,14 +63,10 @@ func ResultToJSON(p *Problem, res *core.Result) *ResultJSON {
 				Accepted:  true,
 			})
 		}
-		part := res.RTPartition
-		if len(part) != len(p.RT) {
-			part = p.RTPartition
-		}
-		if len(part) == len(p.RT) {
+		if len(res.RTPartition) == len(p.RT) {
 			rj.RTPartition = make([]RTPlacementJSON, 0, len(p.RT))
 			for i, t := range p.RT {
-				rj.RTPartition = append(rj.RTPartition, RTPlacementJSON{Name: t.Name, Core: part[i]})
+				rj.RTPartition = append(rj.RTPartition, RTPlacementJSON{Name: t.Name, Core: res.RTPartition[i]})
 			}
 		}
 	}

@@ -178,6 +178,39 @@ func TestBuildInputSelfPartitioningFallback(t *testing.T) {
 	}
 }
 
+// TestBuildInputLeavesProblemAlone: BuildInput does not record the
+// heuristic's partition in the Problem, so a Problem reused across
+// heuristics is packed by each heuristic anew rather than pinned to the
+// first one's packing.
+func TestBuildInputLeavesProblemAlone(t *testing.T) {
+	p, err := Decode(strings.NewReader(`{
+	  "cores": 3,
+	  "rt_tasks": [
+	    {"name": "a", "wcet_ms": 30, "period_ms": 100},
+	    {"name": "b", "wcet_ms": 30, "period_ms": 100},
+	    {"name": "c", "wcet_ms": 20, "period_ms": 100},
+	    {"name": "d", "wcet_ms": 10, "period_ms": 100}
+	  ],
+	  "security_tasks": []
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []partition.Heuristic{partition.BestFit, partition.WorstFit} {
+		in, err := BuildInput(p, core.MustLookup("hydra"), h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := partition.PartitionRT(p.RT, p.M, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(in.RTPartition, want.CoreOf) || p.RTPartition != nil {
+			t.Fatalf("%s: BuildInput partition %v, want %v; problem partition %v", h, in.RTPartition, want.CoreOf, p.RTPartition)
+		}
+	}
+}
+
 // referenceResult is the result document as encoding/json writes it, the
 // reference JSONWriter.Result must match: json.Encoder with
 // SetIndent("", "  ") applied to rj, trailing newline included.
@@ -230,7 +263,7 @@ func TestResultRenderMatchesEncodingJSON(t *testing.T) {
 							strings.HasSuffix(name, "-gp") && (h != partition.BestFit || pin != nil) {
 							continue
 						}
-						// BuildInput records the heuristic's partition in p.
+						// BuildInput leaves p alone, so each heuristic packs anew.
 						p := &Problem{M: m, RT: w.RT, Sec: w.Sec, RTPartition: pin}
 						alloc := core.MustLookup(name)
 						var res *core.Result

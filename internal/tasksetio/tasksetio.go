@@ -22,6 +22,25 @@ type RTTaskJSON struct {
 	Deadline float64 `json:"deadline_ms,omitempty"` // defaults to the period
 }
 
+// Task converts j to the model task; a zero deadline is the period.
+func (j RTTaskJSON) Task() rts.RTTask {
+	d := j.Deadline
+	if d == 0 {
+		d = j.Period
+	}
+	return rts.RTTask{Name: j.Name, C: j.WCET, T: j.Period, D: d}
+}
+
+// RTTaskToJSON is the wire form of t; a deadline equal to the period is left
+// out.
+func RTTaskToJSON(t rts.RTTask) RTTaskJSON {
+	j := RTTaskJSON{Name: t.Name, WCET: t.C, Period: t.T}
+	if t.D != t.T {
+		j.Deadline = t.D
+	}
+	return j
+}
+
 // SecurityTaskJSON mirrors rts.SecurityTask.
 type SecurityTaskJSON struct {
 	Name          string  `json:"name"`
@@ -29,6 +48,16 @@ type SecurityTaskJSON struct {
 	DesiredPeriod float64 `json:"desired_period_ms"`
 	MaxPeriod     float64 `json:"max_period_ms"`
 	Weight        float64 `json:"weight,omitempty"`
+}
+
+// Task converts j to the model task.
+func (j SecurityTaskJSON) Task() rts.SecurityTask {
+	return rts.SecurityTask{Name: j.Name, C: j.WCET, TDes: j.DesiredPeriod, TMax: j.MaxPeriod, Weight: j.Weight}
+}
+
+// SecurityTaskToJSON is the wire form of t.
+func SecurityTaskToJSON(t rts.SecurityTask) SecurityTaskJSON {
+	return SecurityTaskJSON{Name: t.Name, WCET: t.C, DesiredPeriod: t.TDes, MaxPeriod: t.TMax, Weight: t.Weight}
 }
 
 // Document is one allocation problem.
@@ -68,15 +97,11 @@ func (d *Document) ToProblem() (*Problem, error) {
 	}
 	p := &Problem{M: d.Cores, RT: withCap[rts.RTTask](len(d.RTTasks)), Sec: withCap[rts.SecurityTask](len(d.SecurityTasks))}
 	for _, t := range d.RTTasks {
-		deadline := t.Deadline
-		if deadline == 0 {
-			deadline = t.Period
-		}
-		p.RT = append(p.RT, rts.RTTask{Name: t.Name, C: t.WCET, T: t.Period, D: deadline})
+		p.RT = append(p.RT, t.Task())
 	}
 	var weights float64
 	for _, s := range d.SecurityTasks {
-		t := rts.SecurityTask{Name: s.Name, C: s.WCET, TDes: s.DesiredPeriod, TMax: s.MaxPeriod, Weight: s.Weight}
+		t := s.Task()
 		weights += t.EffectiveWeight()
 		p.Sec = append(p.Sec, t)
 	}
@@ -134,16 +159,10 @@ func (p *Problem) Partition(h partition.Heuristic) ([]int, error) {
 func Encode(w io.Writer, p *Problem) error {
 	doc := Document{Cores: p.M, RTPartition: p.RTPartition}
 	for _, t := range p.RT {
-		j := RTTaskJSON{Name: t.Name, WCET: t.C, Period: t.T}
-		if t.D != t.T {
-			j.Deadline = t.D
-		}
-		doc.RTTasks = append(doc.RTTasks, j)
+		doc.RTTasks = append(doc.RTTasks, RTTaskToJSON(t))
 	}
 	for _, s := range p.Sec {
-		doc.SecurityTasks = append(doc.SecurityTasks, SecurityTaskJSON{
-			Name: s.Name, WCET: s.C, DesiredPeriod: s.TDes, MaxPeriod: s.TMax, Weight: s.Weight,
-		})
+		doc.SecurityTasks = append(doc.SecurityTasks, SecurityTaskToJSON(s))
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -44,11 +44,11 @@ func TestAllWorkloadsValidAndAllocatable(t *testing.T) {
 		// Every registered workload must be HYDRA-allocatable on 2 and 4
 		// cores — the registry exists to feed demos that should not fail.
 		for _, m := range []int{2, 4} {
-			part, err := core.PartitionForHydra(w.RT, m, partition.BestFit)
+			part, err := partition.PartitionRT(w.RT, m, partition.BestFit)
 			if err != nil {
 				t.Fatalf("%s: RT partition on %d cores: %v", name, m, err)
 			}
-			in, err := core.NewInput(m, w.RT, part, w.Sec)
+			in, err := core.NewInput(m, w.RT, part.CoreOf, w.Sec)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
