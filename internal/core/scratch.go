@@ -17,8 +17,9 @@ type allocScratch struct {
 
 	// HydraExt's per-call precedence machinery: the chain-adjusted processing
 	// order, each task's direct predecessor, the topological-sort visit
-	// marks, and the non-preemptive blocking terms. Online reallocation makes
-	// the -np/chain schemes hot, so these ride the pool too.
+	// marks, and the non-preemptive blocking terms. Every -np allocation
+	// runs HydraExt (ablation's non-preemptive arm, -np requests on
+	// /v1/allocate and in Fig. 2), so these ride the pool too.
 	order     []int
 	chainPred []int
 	placed    []bool

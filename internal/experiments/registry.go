@@ -218,39 +218,21 @@ func init() {
 		}
 		return rows, nil
 	}})
-	RegisterSpec(specFunc{name: "fig1", run: func(ctx context.Context, config json.RawMessage, h Hooks) (any, error) {
-		cfg, err := decodeSpecConfig[Fig1Config](config)
+	registerConfigured("fig1", runFig1)
+	registerConfigured("fig2", runFig2)
+	registerConfigured("fig3", runFig3)
+	registerConfigured("ablation", runAblation)
+	registerConfigured("online", runOnline)
+}
+
+// registerConfigured registers a spec that strictly decodes its config into
+// C and runs it.
+func registerConfigured[C, R any](name string, run func(context.Context, C, Hooks) (R, error)) {
+	RegisterSpec(specFunc{name: name, run: func(ctx context.Context, config json.RawMessage, h Hooks) (any, error) {
+		cfg, err := decodeSpecConfig[C](config)
 		if err != nil {
 			return nil, err
 		}
-		return runFig1(ctx, cfg, h)
-	}})
-	RegisterSpec(specFunc{name: "fig2", run: func(ctx context.Context, config json.RawMessage, h Hooks) (any, error) {
-		cfg, err := decodeSpecConfig[Fig2Config](config)
-		if err != nil {
-			return nil, err
-		}
-		return runFig2(ctx, cfg, h)
-	}})
-	RegisterSpec(specFunc{name: "fig3", run: func(ctx context.Context, config json.RawMessage, h Hooks) (any, error) {
-		cfg, err := decodeSpecConfig[Fig3Config](config)
-		if err != nil {
-			return nil, err
-		}
-		return runFig3(ctx, cfg, h)
-	}})
-	RegisterSpec(specFunc{name: "ablation", run: func(ctx context.Context, config json.RawMessage, h Hooks) (any, error) {
-		cfg, err := decodeSpecConfig[AblationConfig](config)
-		if err != nil {
-			return nil, err
-		}
-		return runAblation(ctx, cfg, h)
-	}})
-	RegisterSpec(specFunc{name: "online", run: func(ctx context.Context, config json.RawMessage, h Hooks) (any, error) {
-		cfg, err := decodeSpecConfig[OnlineConfig](config)
-		if err != nil {
-			return nil, err
-		}
-		return runOnline(ctx, cfg, h)
+		return run(ctx, cfg, h)
 	}})
 }

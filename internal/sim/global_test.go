@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -21,6 +22,13 @@ func TestGlobalSlackValidation(t *testing.T) {
 	badSec := []TaskSpec{{Name: "s", C: 0, T: 10}}
 	if _, err := SimulateGlobalSlack(rt, badSec, 100); err == nil {
 		t.Fatal("invalid security spec must error")
+	}
+	nanOffset := []TaskSpec{{Name: "s", C: 1, T: 10, Offset: math.NaN()}}
+	if _, err := SimulateGlobalSlack(rt, nanOffset, 100); err == nil {
+		t.Fatal("NaN security offset must error")
+	}
+	if _, err := SimulateGlobalSlack([][]TaskSpec{nanOffset}, nil, 100); err == nil {
+		t.Fatal("NaN rt offset must error")
 	}
 }
 
@@ -128,11 +136,15 @@ func TestGlobalSlackSecurityEvictedByRT(t *testing.T) {
 }
 
 // Property: on a single core, global-slack and partitioned simulation agree
-// for the same task system (global degenerates to partitioned).
+// for the same task system (global degenerates to partitioned), to the bit:
+// every job field and the core's idle time.
 func TestGlobalMatchesPartitionedSingleCoreProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		rt := []TaskSpec{{Name: "rt", C: 1 + 3*rng.Float64(), T: 10 + 10*rng.Float64(), Prio: 0}}
+		rt := []TaskSpec{
+			{Name: "rt", C: 1 + 3*rng.Float64(), T: 10 + 10*rng.Float64(), Prio: 0},
+			{Name: "rt2", C: 1 + 3*rng.Float64(), T: 15 + 15*rng.Float64(), Offset: 10 * rng.Float64(), Prio: 1},
+		}
 		sec := []TaskSpec{{Name: "s", C: 1 + 2*rng.Float64(), T: 30 + 30*rng.Float64(), Prio: 100, Kind: KindSecurity}}
 		combined := append(append([]TaskSpec{}, rt...), sec...)
 		pinned, err := SimulateCore(combined, 300)
@@ -143,19 +155,27 @@ func TestGlobalMatchesPartitionedSingleCoreProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pj := pinned.JobsOf(1)
-		gj := global.Cores[1].JobsOf(0)
-		if len(pj) != len(gj) {
+		if pinned.IdleTime != global.Cores[0].IdleTime {
 			return false
 		}
-		for i := range pj {
-			if pj[i].Finish != gj[i].Finish {
+		for task := range combined {
+			pj, gj := pinned.JobsOf(task), global.Cores[0].JobsOf(task)
+			if task >= len(rt) {
+				gj = global.Cores[1].JobsOf(task - len(rt))
+			}
+			if len(pj) != len(gj) {
 				return false
+			}
+			for i, g := range gj {
+				g.Task = task
+				if g != pj[i] {
+					return false
+				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,7 +1,9 @@
 // Package sim provides a deterministic discrete-event simulator of
-// preemptive fixed-priority scheduling on one core. Cores are independent
-// under partitioned scheduling, so a multicore platform is simulated as a
-// set of per-core runs (see SimulateSystem).
+// preemptive fixed-priority scheduling. One event loop serves both modes.
+// Pinned mode is one run per core: cores are independent under partitioned
+// scheduling, so a multicore platform is a set of per-core runs (see
+// SimulateSystem). Slack mode is one run over all cores, in which security
+// jobs may take any idle core (see SimulateGlobalSlack).
 //
 // The simulator substitutes for the paper's ARM Cortex-A8 / Xenomai testbed
 // (Sec. IV-A): Fig. 1 measures scheduling-level intrusion-detection latency,
@@ -12,10 +14,11 @@
 package sim
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Time is milliseconds, matching the rts package.
@@ -43,7 +46,7 @@ func (k Kind) String() string {
 	}
 }
 
-// TaskSpec is one periodic task pinned to the simulated core.
+// TaskSpec is one periodic task, pinned to a core or, in slack mode, global.
 type TaskSpec struct {
 	Name   string
 	C      Time // execution demand per job (WCET)
@@ -51,9 +54,12 @@ type TaskSpec struct {
 	Offset Time // release of the first job
 	Prio   int  // static priority: smaller value preempts larger
 	Kind   Kind
-	// NonPreemptive makes every job of this task run to completion once it
-	// first gets the processor (the Sec. V extension for critical security
-	// checks). Higher-priority jobs arriving meanwhile are blocked.
+	// NonPreemptive makes every job of this pinned task run to completion
+	// once it first gets the processor (the Sec. V extension for critical
+	// security checks), in both modes. Higher-priority jobs arriving
+	// meanwhile are blocked. A global task's job is evicted by any pinned
+	// release on its core whatever this flag says, and global jobs never
+	// preempt one another.
 	NonPreemptive bool
 }
 
@@ -103,13 +109,13 @@ func (tr *CoreTrace) Utilization() float64 {
 	return 1 - tr.IdleTime/tr.Horizon
 }
 
-// pending is a released, unfinished job in the ready queue.
+// pending is a released, unfinished job in a ready queue.
 type pending struct {
-	job       int // index into trace.Jobs
+	trace     int // the job's trace: its core, or len(pinned) for a global task
+	job       int // index into that trace's Jobs
 	prio      int
 	seq       int // release tie-break: earlier release first
 	remaining Time
-	started   bool
 	nonPre    bool
 }
 
@@ -134,133 +140,133 @@ func (q *readyQueue) Pop() interface{} {
 	return item
 }
 
-// release is one future job arrival.
+// release is one job arrival: task indexes the spec list of trace. It stays
+// at 16 B, since a run holds one per job.
 type release struct {
-	at   Time
-	task int
+	at          Time
+	trace, task int32
 }
 
 const timeEps = 1e-9
 
 // SimulateCore runs the core for [0, horizon) and returns the trace.
 func SimulateCore(specs []TaskSpec, horizon Time) (*CoreTrace, error) {
+	traces, err := simulate([][]TaskSpec{specs}, nil, horizon)
+	if err != nil {
+		return nil, err
+	}
+	return traces[0], nil
+}
+
+// simulate is the one event loop: fixed-priority scheduling of
+// len(pinned) cores for [0, horizon). Core c runs the tasks of pinned[c];
+// a job of a global task runs on any core with no ready pinned job. It
+// returns one trace per core and, at index len(pinned), the global tasks'.
+//
+// Dispatch, per core: a started non-preemptive pinned job keeps its core;
+// otherwise the top ready pinned job takes the core from a global job or a
+// lower-priority pinned job. Then idle cores take global jobs, highest
+// priority first; global jobs never preempt one another. Time moves to the
+// next release, completion or the horizon, whichever comes first.
+func simulate(pinned [][]TaskSpec, global []TaskSpec, horizon Time) ([]*CoreTrace, error) {
 	if horizon <= 0 {
 		return nil, fmt.Errorf("sim: horizon must be positive, got %g", horizon)
 	}
-	for i, s := range specs {
-		if !(s.C > 0) || !(s.T > 0) || s.Offset < 0 || math.IsNaN(s.C+s.T+s.Offset) {
-			return nil, fmt.Errorf("sim: task %d (%q) has invalid parameters C=%g T=%g Offset=%g", i, s.Name, s.C, s.T, s.Offset)
-		}
-	}
-
+	m := len(pinned)
+	traces := make([]*CoreTrace, m+1)
 	// Materialize all releases up front; horizons are short enough (the
 	// paper observes 500 s windows) that this stays small.
 	var releases []release
-	for ti, s := range specs {
-		for at := s.Offset; at < horizon; at += s.T {
-			releases = append(releases, release{at: at, task: ti})
+	for tr, specs := range append(pinned[:m:m], global) {
+		n := len(releases)
+		for i, s := range specs {
+			if !(s.C > 0) || !(s.T > 0) || s.Offset < 0 || math.IsNaN(s.C+s.T+s.Offset) {
+				return nil, fmt.Errorf("sim: task %d (%q) has invalid parameters C=%g T=%g Offset=%g", i, s.Name, s.C, s.T, s.Offset)
+			}
+			for at := s.Offset; at < horizon; at += s.T {
+				releases = append(releases, release{at: at, trace: int32(tr), task: int32(i)})
+			}
 		}
+		traces[tr] = &CoreTrace{Specs: specs, Horizon: horizon, Jobs: make([]Job, 0, len(releases)-n)}
 	}
-	sort.SliceStable(releases, func(a, b int) bool { return releases[a].at < releases[b].at })
+	slices.SortStableFunc(releases, func(a, b release) int { return cmp.Compare(a.at, b.at) })
 
-	tr := &CoreTrace{Specs: specs, Horizon: horizon}
-	tr.Jobs = make([]Job, len(releases))
-	for i, r := range releases {
-		tr.Jobs[i] = Job{Task: r.task, Release: r.at, Start: -1, Finish: -1}
-	}
-
-	var ready readyQueue
-	heap.Init(&ready)
-	now := Time(0)
-	nextRel := 0
-	var running *pending // the job currently holding the processor
-
+	ready := make([]readyQueue, m+1) // per core, then the global queue
+	running := make([]*pending, m)   // the job holding each core
+	now, next := Time(0), 0
+	// admit queues and records every release due by now. The loop below
+	// ends at or past horizon-timeEps, so every release gets a record.
 	admit := func() {
-		for nextRel < len(releases) && releases[nextRel].at <= now+timeEps {
-			r := releases[nextRel]
-			heap.Push(&ready, &pending{
-				job:       nextRel,
-				prio:      specs[r.task].Prio,
-				seq:       nextRel,
-				remaining: specs[r.task].C,
-				nonPre:    specs[r.task].NonPreemptive,
-			})
-			nextRel++
+		for ; next < len(releases) && releases[next].at <= now+timeEps; next++ {
+			r := releases[next]
+			tr := traces[r.trace]
+			s := tr.Specs[r.task]
+			heap.Push(&ready[r.trace], &pending{trace: int(r.trace), job: len(tr.Jobs), prio: s.Prio, seq: next, remaining: s.C, nonPre: s.NonPreemptive})
+			tr.Jobs = append(tr.Jobs, Job{Task: int(r.task), Release: r.at, Start: -1, Finish: -1})
 		}
 	}
 	admit()
 
 	for now < horizon-timeEps {
-		// Choose the job to run: a started non-preemptive job keeps the
-		// processor; otherwise the highest-priority ready job runs.
-		if running == nil || !(running.nonPre && running.started) {
-			if len(ready) > 0 {
-				top := ready[0]
-				if running == nil {
-					running = top
-					heap.Pop(&ready)
-				} else if top.prio < running.prio {
-					// Preempt: running returns to the queue.
-					if running.started && running.remaining > timeEps {
-						tr.Jobs[running.job].Preemptions++
-					}
-					heap.Push(&ready, running)
-					running = top
-					heap.Pop(&ready)
-				}
+		// A running job has always started, so nonPre alone keeps the core.
+		for c, cur := range running {
+			q := &ready[c]
+			if len(*q) == 0 || cur != nil && cur.trace == c && (cur.nonPre || (*q)[0].prio >= cur.prio) {
+				continue
+			}
+			if cur != nil { // preempted: back to its own queue
+				traces[cur.trace].Jobs[cur.job].Preemptions++
+				heap.Push(&ready[cur.trace], cur)
+			}
+			running[c] = heap.Pop(q).(*pending)
+		}
+		for c, cur := range running {
+			if cur == nil && len(ready[m]) > 0 {
+				running[c] = heap.Pop(&ready[m]).(*pending)
 			}
 		}
 
-		if running == nil {
-			// Idle until the next release (or horizon).
-			if nextRel >= len(releases) {
-				tr.IdleTime += horizon - now
-				now = horizon
-				break
+		until := horizon
+		if next < len(releases) {
+			until = min(until, releases[next].at)
+		}
+		for _, p := range running {
+			if p != nil {
+				until = min(until, now+p.remaining)
 			}
-			next := releases[nextRel].at
-			if next > horizon {
-				next = horizon
+		}
+		for c, p := range running {
+			if p == nil {
+				traces[c].IdleTime += until - now
+				continue
 			}
-			tr.IdleTime += next - now
-			now = next
-			admit()
-			continue
+			if j := &traces[p.trace].Jobs[p.job]; j.Start < 0 {
+				j.Start = now
+			}
+			p.remaining -= until - now
 		}
-
-		if !running.started {
-			running.started = true
-			tr.Jobs[running.job].Start = now
-		}
-		// Run until completion or the next release, whichever is first.
-		runUntil := now + running.remaining
-		if nextRel < len(releases) && releases[nextRel].at < runUntil {
-			runUntil = releases[nextRel].at
-		}
-		if runUntil > horizon {
-			runUntil = horizon
-		}
-		running.remaining -= runUntil - now
-		now = runUntil
+		now = until
 		admit()
-		if running.remaining <= timeEps {
-			tr.Jobs[running.job].Finish = now
-			running = nil
+		// A remaining time below half an ulp of the clock (possible from
+		// 2^24 ms on) cannot move it, so that job finishes now too.
+		for c, p := range running {
+			if p != nil && (p.remaining <= timeEps || now+p.remaining == now) {
+				traces[p.trace].Jobs[p.job].Finish = now
+				running[c] = nil
+			}
 		}
 	}
 
-	// Post-process statistics.
-	for i := range tr.Jobs {
-		j := &tr.Jobs[i]
-		if j.Start < 0 {
-			tr.Unstarted++
-			continue
-		}
-		if j.Finish >= 0 && j.Finish > j.Release+specs[j.Task].T+timeEps {
-			tr.Misses++
+	for _, tr := range traces {
+		for _, j := range tr.Jobs {
+			if j.Start < 0 {
+				tr.Unstarted++
+			} else if j.Finish >= 0 && j.Finish > j.Release+tr.Specs[j.Task].T+timeEps {
+				tr.Misses++
+			}
 		}
 	}
-	return tr, nil
+	return traces, nil
 }
 
 // SystemTrace bundles the per-core traces of a partitioned platform.
@@ -280,6 +286,33 @@ func SimulateSystem(perCore [][]TaskSpec, horizon Time) (*SystemTrace, error) {
 		st.Cores[c] = tr
 	}
 	return st, nil
+}
+
+// SimulateGlobalSlack implements the runtime slack-reclamation mode the
+// paper's Discussion (Sec. V) leaves as future work: real-time tasks stay
+// partitioned, while ready security jobs may execute on *any* core that is
+// currently free of ready real-time work, migrating at dispatch granularity
+// instead of being pinned to their HYDRA core. Security jobs never delay
+// real-time jobs: a real-time release on the core a security job occupies
+// evicts it at once, and the job may resume elsewhere. Security jobs never
+// preempt one another, and a started non-preemptive real-time job keeps its
+// core, as in pinned mode. It is one run of the event loop over all cores.
+//
+// rtPerCore pins the real-time tasks; sec lists the security tasks with
+// their adapted periods (priorities inside sec follow TaskSpec.Prio).
+// The returned trace uses a synthetic core layout: core c's spec list is
+// rtPerCore[c] (RT jobs are recorded per home core), and security jobs are
+// recorded on a virtual "core" appended at index len(rtPerCore) whose specs
+// are sec — their executing core varies and is not tracked per job.
+func SimulateGlobalSlack(rtPerCore [][]TaskSpec, sec []TaskSpec, horizon Time) (*SystemTrace, error) {
+	if len(rtPerCore) == 0 {
+		return nil, fmt.Errorf("sim: need at least one core")
+	}
+	traces, err := simulate(rtPerCore, sec, horizon)
+	if err != nil {
+		return nil, err
+	}
+	return &SystemTrace{Cores: traces}, nil
 }
 
 // TotalMisses sums deadline misses across cores.

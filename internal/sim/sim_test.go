@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func near(a, b, tol float64) bool { return math.Abs(a-b) <= tol*(1+math.Abs(b)) }
@@ -96,14 +97,54 @@ func TestNonPreemptiveBlocksHigherPriority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo := tr.JobsOf(1)[0]
-	hi := tr.JobsOf(0)[0]
-	// lo runs to completion [0,5); hi waits until 5 despite higher priority.
-	if !near(lo.Finish, 5, 1e-12) || lo.Preemptions != 0 {
-		t.Fatalf("lo = %+v", lo)
+	// Slack mode keeps the rule for pinned tasks.
+	slack, err := SimulateGlobalSlack([][]TaskSpec{specs}, nil, 100)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !near(hi.Start, 5, 1e-12) || !near(hi.Finish, 6, 1e-12) {
-		t.Fatalf("hi = %+v", hi)
+	for mode, tr := range []*CoreTrace{tr, slack.Cores[0]} {
+		lo := tr.JobsOf(1)[0]
+		hi := tr.JobsOf(0)[0]
+		// lo runs to completion [0,5); hi waits until 5 despite higher priority.
+		if !near(lo.Finish, 5, 1e-12) || lo.Preemptions != 0 {
+			t.Fatalf("mode %d: lo = %+v", mode, lo)
+		}
+		if !near(hi.Start, 5, 1e-12) || !near(hi.Finish, 6, 1e-12) {
+			t.Fatalf("mode %d: hi = %+v", mode, hi)
+		}
+	}
+}
+
+// A job left with less than half an ulp of the clock to run cannot move the
+// clock again (from 2^24 ms, about 4.7 h, on), so it must finish where it
+// stands instead of stalling the event loop, in both modes. Here lo is left
+// with 1.5e-9 ms at at+1, when hi is released.
+func TestSubUlpRemainingFinishes(t *testing.T) {
+	const at = 1 << 24 // ms; one ulp of the clock is 3.7e-9 ms here
+	specs := []TaskSpec{
+		{Name: "hi", C: 1, T: 1e12, Offset: at + 1, Prio: 0},
+		{Name: "lo", C: 1 + 1.5e-9, T: 1e12, Offset: at, Prio: 1},
+	}
+	done := make(chan []*CoreTrace, 1)
+	go func() {
+		tr, err1 := SimulateCore(specs, 2*at)
+		st, err2 := SimulateGlobalSlack([][]TaskSpec{specs}, nil, 2*at)
+		if err1 != nil || err2 != nil {
+			t.Errorf("SimulateCore: %v; SimulateGlobalSlack: %v", err1, err2)
+			done <- nil
+			return
+		}
+		done <- []*CoreTrace{tr, st.Cores[0]}
+	}()
+	select {
+	case trs := <-done:
+		for mode, tr := range trs {
+			if lo, hi := tr.JobsOf(1)[0], tr.JobsOf(0)[0]; lo.Finish != at+1 || lo.Preemptions != 0 || hi.Finish != at+2 {
+				t.Fatalf("mode %d: lo = %+v, hi = %+v, want lo done at %v and hi at %v", mode, lo, hi, at+1, at+2)
+			}
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the simulation stalled on a sub-ulp remaining time")
 	}
 }
 
