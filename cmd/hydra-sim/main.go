@@ -1,8 +1,9 @@
-// Command hydra-sim allocates a JSON taskset (same format as cmd/hydra),
-// simulates the resulting partitioned schedule, and reports per-core
-// statistics, intrusion-detection latency under random attack injection,
-// and an optional text Gantt timeline — the per-taskset counterpart of the
-// paper's Fig. 1 measurement.
+// Command hydra-sim allocates a JSON taskset (same format as cmd/hydra) or a
+// built-in workload and runs the allocation through experiments.Simulate, the
+// one path Fig. 1 and /v1/simulate share: verify, lower, simulate pinned or
+// with -slack reclamation. It reports per-core statistics, intrusion-detection
+// latency under random attack injection, and an optional text Gantt timeline:
+// the per-taskset counterpart of the paper's Fig. 1 measurement.
 package main
 
 import (
@@ -76,42 +77,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "UNSCHEDULABLE (%s): %s\n", res.Scheme, res.Reason)
 		return nil
 	}
-	// Analyze and simulate against the partition the scheme actually used
-	// (SingleCore repartitions the real-time tasks internally).
-	in = core.EffectiveInput(in, res)
-	if err := core.Verify(in, res); err != nil {
-		return fmt.Errorf("allocation failed verification: %w", err)
-	}
-
-	perCore, taskCore, taskIndex, err := experiments.BuildSimSpecs(in, res)
-	if err != nil {
-		return err
-	}
-
-	// Simulate (pinned or slack-reclamation mode).
-	var trace *sim.SystemTrace
-	campCore, campIndex := taskCore, taskIndex
-	if *slack {
-		rtPerCore := make([][]sim.TaskSpec, in.M)
-		var secSpecs []sim.TaskSpec
-		campCore = make([]int, len(in.Sec))
-		campIndex = make([]int, len(in.Sec))
-		for c, specs := range perCore {
-			for _, sp := range specs {
-				if sp.Kind == sim.KindRT {
-					rtPerCore[c] = append(rtPerCore[c], sp)
-				}
-			}
-		}
-		for i := range in.Sec {
-			campCore[i] = in.M
-			campIndex[i] = len(secSpecs)
-			secSpecs = append(secSpecs, perCore[taskCore[i]][taskIndex[i]])
-		}
-		trace, err = sim.SimulateGlobalSlack(rtPerCore, secSpecs, *horizon)
-	} else {
-		trace, err = sim.SimulateSystem(perCore, *horizon)
-	}
+	campaign, err := experiments.Simulate(in, res, *horizon, *slack)
 	if err != nil {
 		return err
 	}
@@ -120,7 +86,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "scheme: %s  cores: %d  horizon: %.0f ms  cumulative tightness: %s\n\n",
 		res.Scheme, problem.M, *horizon, report.F(res.Cumulative))
 	coreTab := report.NewTable("core", "tasks", "utilization", "idle_ms", "misses")
-	for c, tr := range trace.Cores {
+	for c, tr := range campaign.Trace.Cores {
 		label := fmt.Sprintf("%d", c)
 		if *slack && c == in.M {
 			label = "sec(any)"
@@ -133,12 +99,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 
 	// Attack campaign.
 	if *attacks > 0 && len(in.Sec) > 0 {
-		rng := stats.SplitRNG(*seed, 0)
-		atk := detect.SampleAttacks(rng, *attacks, len(in.Sec), *horizon, 0.8)
-		campaign, err := detect.NewCampaign(trace, campCore, campIndex)
-		if err != nil {
-			return err
-		}
+		atk := detect.SampleAttacks(stats.SplitRNG(*seed, 0), *attacks, len(in.Sec), *horizon, 0.8)
 		ds, err := campaign.Run(atk)
 		if err != nil {
 			return err
@@ -152,7 +113,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	// Gantt timeline.
 	if *gantt > 0 {
 		fmt.Fprintln(stdout)
-		for c, tr := range trace.Cores {
+		for c, tr := range campaign.Trace.Cores {
 			if len(tr.Specs) == 0 {
 				continue
 			}

@@ -2,14 +2,17 @@
 // retrofitting security tasks into a multicore RTS, explored with this
 // library on synthetic workloads (paper Sec. IV-B parameters):
 //
-//  1. core-commitment policy ablation (HYDRA best-tightness vs first-feasible
-//     vs least-loaded);
+//  1. allocation-scheme ablation (HYDRA best-tightness vs first-feasible vs
+//     least-loaded, and the partition-best-fit baseline);
 //  2. real-time partition heuristic ablation (first/best/worst/next-fit);
 //  3. the Sec. V extensions: non-preemptive security execution cost, and
 //     runtime slack reclamation (migrating security jobs) vs static HYDRA
 //     pinning, measured as intrusion-detection latency on the UAV case study.
 //
-// Run with:
+// Sections 1 and 2 print rows of experiments.RunAblation's grid on its v1
+// taskset streams; section 3's detection latencies come from
+// experiments.Simulate, the path Fig. 1 and hydra-sim measure through.
+// testdata/output.txt holds the expected stdout. Run with:
 //
 //	go run ./examples/designspace
 package main
@@ -24,7 +27,6 @@ import (
 	"hydra/internal/partition"
 	"hydra/internal/sim"
 	"hydra/internal/stats"
-	"hydra/internal/taskgen"
 	"hydra/internal/uav"
 )
 
@@ -41,51 +43,37 @@ func main() {
 	slackReclamation()
 }
 
-// policyAblation compares allocation schemes — selected by name from the
-// allocator registry — by acceptance ratio and cumulative tightness at a
-// demanding utilization. Besides HYDRA's three commitment policies it
-// includes the no-period-adaptation bin-packing baseline, quantifying what
-// the paper's period adaptation buys.
-func policyAblation() {
-	fmt.Printf("1. Allocation-scheme ablation (%d cores, U=0.85M, %d tasksets)\n", m, tasksetCount)
-	schemes, err := core.Resolve(
-		"hydra", "hydra-first-feasible", "hydra-least-loaded", "partition-best-fit")
+// ablation runs experiments.RunAblation's scheme x heuristic grid at
+// utilization util*M on the v1 taskset streams of seed+seedOffset, draw t
+// being stats.SplitRNG(seed+seedOffset, t).
+func ablation(util float64, seedOffset int64, schemes ...string) []experiments.AblationCell {
+	cells, err := experiments.RunAblation(experiments.AblationConfig{
+		M: m, UtilFrac: util, TasksetsPerCell: tasksetCount, Seed: seed + seedOffset,
+		Schemes: schemes, ResultsVersion: 1,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	accepted := make([]int, len(schemes))
-	tightness := make([]float64, len(schemes))
-	total := 0
-	for t := 0; t < tasksetCount; t++ {
-		rng := stats.SplitRNG(seed, int64(t))
-		w, err := taskgen.Generate(taskgen.DefaultParams(m, 0.85*m), rng)
-		if err != nil {
-			continue
+	return cells
+}
+
+// printCell prints one ablation row, its label padded to width.
+func printCell(width int, label any, c experiments.AblationCell) {
+	fmt.Printf("   %-*s acceptance %5.1f%%   mean per-task tightness %.3f\n",
+		width, label, 100*float64(c.Accepted)/float64(c.Generated), c.MeanTightness)
+}
+
+// policyAblation compares allocation schemes — selected by name from the
+// allocator registry — by acceptance ratio and cumulative tightness at a
+// demanding utilization, on best-fit real-time partitions. Besides HYDRA's
+// three commitment policies it includes the no-period-adaptation bin-packing
+// baseline, quantifying what the paper's period adaptation buys.
+func policyAblation() {
+	fmt.Printf("1. Allocation-scheme ablation (%d cores, U=0.85M, %d tasksets)\n", m, tasksetCount)
+	for _, c := range ablation(0.85, 0, "hydra", "hydra-first-feasible", "hydra-least-loaded", "partition-best-fit") {
+		if c.Heuristic == partition.BestFit {
+			printCell(22, c.Scheme, c)
 		}
-		part, err := partition.PartitionRT(w.RT, m, partition.BestFit)
-		if err != nil {
-			continue
-		}
-		in, err := core.NewInput(m, w.RT, part.CoreOf, w.Sec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		total++
-		for si, scheme := range schemes {
-			r := scheme.Allocate(in)
-			if r.Schedulable {
-				accepted[si]++
-				tightness[si] += r.Cumulative / float64(len(w.Sec))
-			}
-		}
-	}
-	for si, scheme := range schemes {
-		mean := 0.0
-		if accepted[si] > 0 {
-			mean = tightness[si] / float64(accepted[si])
-		}
-		fmt.Printf("   %-22s acceptance %5.1f%%   mean per-task tightness %.3f\n",
-			scheme.Name(), 100*float64(accepted[si])/float64(total), mean)
 	}
 	fmt.Println()
 }
@@ -94,54 +82,32 @@ func policyAblation() {
 // the security headroom HYDRA finds.
 func heuristicAblation() {
 	fmt.Printf("2. RT-partition heuristic ablation (%d cores, U=0.8M, %d tasksets)\n", m, tasksetCount)
-	heuristics := []partition.Heuristic{partition.FirstFit, partition.BestFit, partition.WorstFit, partition.NextFit}
-	for _, h := range heuristics {
-		accepted, total := 0, 0
-		sumTight := 0.0
-		for t := 0; t < tasksetCount; t++ {
-			rng := stats.SplitRNG(seed+1, int64(t))
-			w, err := taskgen.Generate(taskgen.DefaultParams(m, 0.8*m), rng)
-			if err != nil {
-				continue
-			}
-			total++
-			part, err := partition.PartitionRT(w.RT, m, h)
-			if err != nil {
-				continue
-			}
-			in, err := core.NewInput(m, w.RT, part.CoreOf, w.Sec)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if r := core.Hydra(in, core.HydraOptions{}); r.Schedulable {
-				accepted++
-				sumTight += r.Cumulative / float64(len(w.Sec))
-			}
-		}
-		mean := 0.0
-		if accepted > 0 {
-			mean = sumTight / float64(accepted)
-		}
-		fmt.Printf("   %-10s acceptance %5.1f%%   mean per-task tightness %.3f\n",
-			h, 100*float64(accepted)/float64(total), mean)
+	for _, c := range ablation(0.8, 1, "hydra") {
+		printCell(10, c.Heuristic, c)
 	}
 	fmt.Println()
+}
+
+// uavInput is the UAV case study on two cores, its real-time tasks
+// partitioned best-fit.
+func uavInput() *core.Input {
+	rt := uav.RTTasks()
+	part, err := partition.PartitionRT(rt, 2, partition.BestFit)
+	if err != nil {
+		log.Fatal(err)
+	}
+	in, err := core.NewInput(2, rt, part.CoreOf, uav.SecurityTaskSet())
+	if err != nil {
+		log.Fatal(err)
+	}
+	return in
 }
 
 // nonPreemptiveCost quantifies what non-preemptive security execution
 // (Sec. V) costs in tightness on the UAV workload.
 func nonPreemptiveCost() {
 	fmt.Println("3. Non-preemptive security execution (UAV workload, 2 cores)")
-	rt := uav.RTTasks()
-	sec := uav.SecurityTaskSet()
-	part, err := partition.PartitionRT(rt, 2, partition.BestFit)
-	if err != nil {
-		log.Fatal(err)
-	}
-	in, err := core.NewInput(2, rt, part.CoreOf, sec)
-	if err != nil {
-		log.Fatal(err)
-	}
+	in := uavInput()
 	plain := core.Hydra(in, core.HydraOptions{})
 	np := core.HydraExt(in, core.ExtOptions{NonPreemptiveSecurity: true})
 	fmt.Printf("   preemptive:     cumulative tightness %.3f\n", plain.Cumulative)
@@ -168,85 +134,35 @@ func nonPreemptiveCost() {
 
 // slackReclamation compares the detection latency of HYDRA's static pinning
 // against the runtime slack-reclamation mode (security jobs migrate to any
-// idle core) on the UAV case study.
+// idle core) on the UAV case study: the same allocation and attacks through
+// experiments.Simulate in both modes.
 func slackReclamation() {
 	fmt.Println("4. Runtime slack reclamation vs static HYDRA pinning (UAV, 2 cores)")
-	rt := uav.RTTasks()
-	sec := uav.SecurityTaskSet()
-	part, err := partition.PartitionRT(rt, 2, partition.BestFit)
-	if err != nil {
-		log.Fatal(err)
-	}
-	in, err := core.NewInput(2, rt, part.CoreOf, sec)
-	if err != nil {
-		log.Fatal(err)
-	}
+	in := uavInput()
 	res := core.Hydra(in, core.HydraOptions{})
 	if !res.Schedulable {
 		log.Fatalf("HYDRA failed: %s", res.Reason)
 	}
 	const horizon = 500_000.0
-	perCore, taskCore, taskIndex, err := experiments.BuildSimSpecs(in, res)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rng := stats.SplitRNG(seed+2, 0)
-	attacks := detect.SampleAttacks(rng, 2000, len(sec), horizon, 0.8)
-
-	// Static pinning.
-	pinnedTrace, err := sim.SimulateSystem(perCore, horizon)
-	if err != nil {
-		log.Fatal(err)
-	}
-	pinnedCampaign, err := detect.NewCampaign(pinnedTrace, taskCore, taskIndex)
-	if err != nil {
-		log.Fatal(err)
-	}
-	pinnedDet, err := pinnedCampaign.Run(attacks)
-	if err != nil {
-		log.Fatal(err)
-	}
-	pinnedMean := stats.NewECDF(detect.Latencies(pinnedDet)).Mean()
-
-	// Slack reclamation: same adapted periods, but jobs may migrate. Build
-	// RT-only per-core lists plus a global security list.
-	rtPerCore := make([][]sim.TaskSpec, in.M)
-	var secSpecs []sim.TaskSpec
-	secCampaignCore := make([]int, len(sec))
-	secCampaignIndex := make([]int, len(sec))
-	for c, specs := range perCore {
-		for _, sp := range specs {
-			if sp.Kind == sim.KindRT {
-				rtPerCore[c] = append(rtPerCore[c], sp)
-			}
+	attacks := detect.SampleAttacks(stats.SplitRNG(seed+2, 0), 2000, len(in.Sec), horizon, 0.8)
+	var mean [2]float64
+	var misses [2]int
+	for i, slack := range []bool{false, true} {
+		campaign, err := experiments.Simulate(in, res, horizon, slack)
+		if err != nil {
+			log.Fatal(err)
 		}
-		_ = c
+		ds, err := campaign.Run(attacks)
+		if err != nil {
+			log.Fatal(err)
+		}
+		mean[i] = stats.NewECDF(detect.Latencies(ds)).Mean()
+		misses[i] = rtMisses(campaign.Trace, in.M)
 	}
-	for i := range sec {
-		sp := perCore[taskCore[i]][taskIndex[i]]
-		secCampaignCore[i] = in.M // virtual security trace index
-		secCampaignIndex[i] = len(secSpecs)
-		secSpecs = append(secSpecs, sp)
-	}
-	globalTrace, err := sim.SimulateGlobalSlack(rtPerCore, secSpecs, horizon)
-	if err != nil {
-		log.Fatal(err)
-	}
-	globalCampaign, err := detect.NewCampaign(globalTrace, secCampaignCore, secCampaignIndex)
-	if err != nil {
-		log.Fatal(err)
-	}
-	globalDet, err := globalCampaign.Run(attacks)
-	if err != nil {
-		log.Fatal(err)
-	}
-	globalMean := stats.NewECDF(detect.Latencies(globalDet)).Mean()
-
-	fmt.Printf("   static pinning:    mean detection %8.0f ms\n", pinnedMean)
+	fmt.Printf("   static pinning:    mean detection %8.0f ms\n", mean[0])
 	fmt.Printf("   slack reclamation: mean detection %8.0f ms (%.1f%% faster)\n",
-		globalMean, 100*(pinnedMean-globalMean)/pinnedMean)
-	fmt.Printf("   RT deadline misses: pinned %d, global %d (both must be 0)\n",
-		rtMisses(pinnedTrace, in.M), rtMisses(globalTrace, in.M))
+		mean[1], 100*(mean[0]-mean[1])/mean[0])
+	fmt.Printf("   RT deadline misses: pinned %d, global %d (both must be 0)\n", misses[0], misses[1])
 }
 
 // rtMisses counts deadline misses on the real cores only (the virtual

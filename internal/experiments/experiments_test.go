@@ -8,6 +8,7 @@ import (
 	"hydra/internal/core"
 	"hydra/internal/partition"
 	"hydra/internal/rts"
+	"hydra/internal/sim"
 	"hydra/internal/uav"
 )
 
@@ -74,6 +75,36 @@ func TestBuildSimSpecs(t *testing.T) {
 	// Unschedulable results must be rejected.
 	if _, _, _, err := BuildSimSpecs(in, &core.Result{Schedulable: false}); err == nil {
 		t.Fatal("unschedulable result must error")
+	}
+	// Simulate maps every security task to its own jobs in both modes: on
+	// its core when pinned, on the virtual trace M with slack.
+	for _, slack := range []bool{false, true} {
+		campaign, err := Simulate(in, res, 5000, slack)
+		if err != nil {
+			t.Fatalf("slack=%v: %v", slack, err)
+		}
+		if len(campaign.TaskCore) != len(sec) {
+			t.Fatalf("slack=%v: campaign covers %d tasks, want %d", slack, len(campaign.TaskCore), len(sec))
+		}
+		for i, s := range sec {
+			c, want := campaign.TaskCore[i], res.Assignment[i]
+			if slack {
+				want = in.M
+			}
+			if c != want {
+				t.Fatalf("slack=%v: %s on trace %d, want %d", slack, s.Name, c, want)
+			}
+			spec := campaign.Trace.Cores[c].Specs[campaign.TaskIndex[i]]
+			if spec.Name != s.Name || spec.T != res.Periods[i] || spec.Kind != sim.KindSecurity {
+				t.Fatalf("slack=%v: %s maps to spec %+v", slack, s.Name, spec)
+			}
+			if len(campaign.Trace.Cores[c].JobsOf(campaign.TaskIndex[i])) == 0 {
+				t.Fatalf("slack=%v: %s released no job", slack, s.Name)
+			}
+		}
+		if _, err := Simulate(in, &core.Result{Schedulable: false}, 5000, slack); err == nil {
+			t.Fatalf("slack=%v: unschedulable result must error", slack)
+		}
 	}
 }
 

@@ -136,7 +136,7 @@ func runFig1(ctx context.Context, cfg Fig1Config, hooks Hooks) (*Fig1Result, err
 		row := Fig1Row{M: m}
 		for _, a := range allocs {
 			res := a.Allocate(in)
-			ms, err := measureScheme(core.EffectiveInput(in, res), res, attacks, c)
+			ms, err := measureScheme(in, res, attacks, c)
 			if err != nil {
 				return Fig1Row{}, fmt.Errorf("M=%d %s: %w", m, a.Name(), err)
 			}
@@ -162,21 +162,7 @@ func runFig1(ctx context.Context, cfg Fig1Config, hooks Hooks) (*Fig1Result, err
 
 // measureScheme simulates one allocation and measures the attack campaign.
 func measureScheme(in *core.Input, res *core.Result, attacks []detect.Attack, c Fig1Config) (*Fig1Scheme, error) {
-	if !res.Schedulable {
-		return nil, fmt.Errorf("%s allocation unschedulable: %s", res.Scheme, res.Reason)
-	}
-	if err := core.Verify(in, res); err != nil {
-		return nil, fmt.Errorf("%s allocation failed verification: %w", res.Scheme, err)
-	}
-	perCore, taskCore, taskIndex, err := BuildSimSpecs(in, res)
-	if err != nil {
-		return nil, err
-	}
-	trace, err := sim.SimulateSystem(perCore, c.Horizon)
-	if err != nil {
-		return nil, err
-	}
-	campaign, err := detect.NewCampaign(trace, taskCore, taskIndex)
+	campaign, err := Simulate(in, res, c.Horizon, false)
 	if err != nil {
 		return nil, err
 	}
@@ -189,8 +175,8 @@ func measureScheme(in *core.Input, res *core.Result, attacks []detect.Attack, c 
 	// Analytical worst case: the slowest-detected surface over every
 	// possible attack instant, not only the sampled ones.
 	var worst float64
-	for i := range taskCore {
-		jobs := trace.Cores[taskCore[i]].JobsOf(taskIndex[i])
+	for i, tc := range campaign.TaskCore {
+		jobs := campaign.Trace.Cores[tc].JobsOf(campaign.TaskIndex[i])
 		if w, ok := detect.WorstCaseDetection(jobs); ok && w > worst {
 			worst = w
 		}
@@ -201,7 +187,7 @@ func measureScheme(in *core.Input, res *core.Result, attacks []detect.Attack, c 
 		MeanDetection: e.Mean(),
 		WorstCase:     worst,
 		Censored:      len(ds) - len(lats),
-		Misses:        trace.TotalMisses(),
+		Misses:        campaign.Trace.TotalMisses(),
 		ECDF:          e,
 		Series:        e.Series(c.CDFRangeMs, c.CDFPoints),
 	}, nil

@@ -704,18 +704,16 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Schedulable = true
 	resp.CumulativeTightness = res.Cumulative
-	in = core.EffectiveInput(in, res)
-	perCore, _, _, err := experiments.BuildSimSpecs(in, res)
+	campaign, err := experiments.Simulate(in, res, horizon, false)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		code := http.StatusInternalServerError
+		if errors.Is(err, sim.ErrTooManyJobs) {
+			code = http.StatusBadRequest
+		}
+		writeError(w, code, "%v", err)
 		return
 	}
-	trace, err := sim.SimulateSystem(perCore, horizon)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	for c, tr := range trace.Cores {
+	for c, tr := range campaign.Trace.Cores {
 		resp.Cores = append(resp.Cores, SimCoreJSON{
 			Core:        c,
 			Tasks:       len(tr.Specs),
@@ -724,7 +722,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			Misses:      tr.Misses,
 		})
 	}
-	resp.TotalMisses = trace.TotalMisses()
+	resp.TotalMisses = campaign.Trace.TotalMisses()
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -539,6 +539,13 @@ func TestSimulateEndpoint(t *testing.T) {
 	if w := post(t, s, "/v1/simulate", allocateBody(sampleTaskset, `"horizon_ms": 99999999999`)); w.Code != http.StatusBadRequest {
 		t.Fatalf("oversized horizon: status %d", w.Code)
 	}
+	// So is the job count: a 1 ms period over 10^7 ms implies 10^7 jobs,
+	// more than the simulator's bound, and is refused before simulating.
+	fastTask := strings.Replace(sampleTaskset, `"wcet_ms": 5, "period_ms": 20`, `"wcet_ms": 0.1, "period_ms": 1`, 1)
+	w = post(t, s, "/v1/simulate", allocateBody(fastTask, `"horizon_ms": 10000000`))
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "too many jobs: 10") {
+		t.Fatalf("job bound: status %d: %s", w.Code, w.Body)
+	}
 	// A pinned partition that fails exact RTA is not simulated.
 	w = post(t, s, "/v1/simulate", allocateBody(pinnedOverload, ""))
 	sr = SimulateResponse{}

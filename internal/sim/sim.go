@@ -16,6 +16,7 @@ package sim
 import (
 	"cmp"
 	"container/heap"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -149,6 +150,31 @@ type release struct {
 
 const timeEps = 1e-9
 
+// ErrTooManyJobs refuses a run that would release more than maxJobs jobs in
+// [0, horizon). A run builds a release and a Job per job before its first
+// event, so the count comes first; the error carries it.
+var ErrTooManyJobs = errors.New("sim: too many jobs")
+
+const maxJobs = 1 << 23
+
+// countJobs returns Σ⌈(horizon − Offset)/T⌉ over the tasks with a valid
+// period, or ErrTooManyJobs above maxJobs. The bound also ends at += T
+// loops that stall below an ulp, which takes 2^52 jobs from a zero offset.
+func countJobs(lists [][]TaskSpec, horizon Time) (int, error) {
+	n := 0.0
+	for _, specs := range lists {
+		for _, s := range specs {
+			if s.T > 0 && s.Offset < horizon {
+				n += math.Ceil((horizon - s.Offset) / s.T)
+			}
+		}
+	}
+	if n > maxJobs {
+		return 0, fmt.Errorf("%w: %.0f in [0, %g) ms, more than %d", ErrTooManyJobs, n, horizon, maxJobs)
+	}
+	return int(n), nil
+}
+
 // SimulateCore runs the core for [0, horizon) and returns the trace.
 func SimulateCore(specs []TaskSpec, horizon Time) (*CoreTrace, error) {
 	traces, err := simulate([][]TaskSpec{specs}, nil, horizon)
@@ -169,15 +195,18 @@ func SimulateCore(specs []TaskSpec, horizon Time) (*CoreTrace, error) {
 // priority first; global jobs never preempt one another. Time moves to the
 // next release, completion or the horizon, whichever comes first.
 func simulate(pinned [][]TaskSpec, global []TaskSpec, horizon Time) ([]*CoreTrace, error) {
-	if horizon <= 0 {
+	if !(horizon > 0) {
 		return nil, fmt.Errorf("sim: horizon must be positive, got %g", horizon)
 	}
 	m := len(pinned)
+	lists := append(pinned[:m:m], global)
+	jobs, err := countJobs(lists, horizon)
+	if err != nil {
+		return nil, err
+	}
 	traces := make([]*CoreTrace, m+1)
-	// Materialize all releases up front; horizons are short enough (the
-	// paper observes 500 s windows) that this stays small.
-	var releases []release
-	for tr, specs := range append(pinned[:m:m], global) {
+	releases := make([]release, 0, jobs)
+	for tr, specs := range lists {
 		n := len(releases)
 		for i, s := range specs {
 			if !(s.C > 0) || !(s.T > 0) || s.Offset < 0 || math.IsNaN(s.C+s.T+s.Offset) {
@@ -277,6 +306,10 @@ type SystemTrace struct {
 // SimulateSystem simulates every core independently (partitioned scheduling
 // has no cross-core interaction) for the same horizon.
 func SimulateSystem(perCore [][]TaskSpec, horizon Time) (*SystemTrace, error) {
+	// The job bound holds for the platform, not only for each core's run.
+	if _, err := countJobs(perCore, horizon); err != nil {
+		return nil, err
+	}
 	st := &SystemTrace{Cores: make([]*CoreTrace, len(perCore))}
 	for c, specs := range perCore {
 		tr, err := SimulateCore(specs, horizon)

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -30,6 +32,29 @@ func TestSimulateValidation(t *testing.T) {
 	bad2 := []TaskSpec{{Name: "x", C: 1, T: 10, Offset: -1}}
 	if _, err := SimulateCore(bad2, 100); err == nil {
 		t.Fatal("negative offset must error")
+	}
+}
+
+// TestJobBound: a run that would release more than 1<<23 jobs is refused
+// with ErrTooManyJobs before any job is built, in both modes and over a
+// whole platform, and a NaN horizon is refused too. Without the bound the
+// 1e-6 ms period below would materialize 10^10 releases.
+func TestJobBound(t *testing.T) {
+	tiny := []TaskSpec{{Name: "tiny", C: 1e-7, T: 1e-6}}
+	if _, err := SimulateCore(tiny, 1e4); !errors.Is(err, ErrTooManyJobs) || !strings.Contains(err.Error(), "10000000000 in") {
+		t.Fatalf("SimulateCore: %v", err)
+	}
+	if _, err := SimulateGlobalSlack([][]TaskSpec{nil}, tiny, 1e4); !errors.Is(err, ErrTooManyJobs) {
+		t.Fatalf("SimulateGlobalSlack: %v", err)
+	}
+	// 5*10^6 jobs per core: each core alone is under the bound, the
+	// platform is not.
+	half := []TaskSpec{{Name: "half", C: 1e-4, T: 2e-3}}
+	if _, err := SimulateSystem([][]TaskSpec{half, half}, 1e4); !errors.Is(err, ErrTooManyJobs) {
+		t.Fatalf("SimulateSystem: %v", err)
+	}
+	if _, err := SimulateCore(tiny, math.NaN()); err == nil || errors.Is(err, ErrTooManyJobs) {
+		t.Fatalf("NaN horizon: %v", err)
 	}
 }
 
