@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -141,6 +142,11 @@ func TestRunFig1SmallScale(t *testing.T) {
 				t.Fatalf("non-monotone ECDF series at %d", i)
 			}
 		}
+	}
+	// A horizon implying more jobs than the simulator's bound fails before
+	// anything is simulated (10^12 ms is about 9*10^10 jobs on two cores).
+	if _, err := RunFig1(Fig1Config{Cores: []int{2}, Horizon: 1e12, Attacks: 10}); !errors.Is(err, sim.ErrTooManyJobs) {
+		t.Fatalf("huge horizon: %v", err)
 	}
 }
 
