@@ -9,6 +9,36 @@ import (
 	"hydra/internal/rts"
 )
 
+// raceEnabled is set by race_test.go when the race detector is compiled in.
+var raceEnabled bool
+
+// TestOnlineAdmitAllocs pins BenchmarkOnlineAdmit/incremental's allocations:
+// AddSecurity plus Remove on a warm system allocate twice, once per logged
+// event. Number text is formatted by snapshots, never on admission.
+func TestOnlineAdmitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector runtime allocates; counts only meaningful without -race")
+	}
+	const m = 4
+	w := baseWorkload(t, m, 0.5*m, 5)
+	sys, err := online.NewSystem("pin", "hydra", partition.BestFit, m, w.RT, nil, w.Sec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := rts.SecurityTask{Name: "probe", C: 2, TDes: 1500, TMax: 15000}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := sys.AddSecurity(probe); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Remove(probe.Name); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("AddSecurity + Remove = %.1f allocs/op, budget 2: something moved onto the admission path", allocs)
+	}
+}
+
 // BenchmarkOnlineAdmit compares the two ways of answering "can this system
 // take one more security task":
 //

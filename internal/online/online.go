@@ -44,6 +44,7 @@ import (
 	"hydra/internal/core"
 	"hydra/internal/partition"
 	"hydra/internal/rts"
+	"hydra/internal/tasksetio"
 )
 
 // incrementalSchemes maps the allocation schemes a System can host onto the
@@ -82,6 +83,16 @@ const (
 type PlacedRT struct {
 	Task rts.RTTask
 	Core int
+	text string // Task's number text, formatted by the first snapshot
+}
+
+// Text returns tasksetio.PlacedRTText of the placement: formatted once, by
+// the first snapshot that copied it, or now for a placement none copied.
+func (p PlacedRT) Text() string {
+	if p.text == "" {
+		return tasksetio.PlacedRTText(p.Task)
+	}
+	return p.text
 }
 
 // PlacedSec is one committed security task with its adapted period.
@@ -89,10 +100,19 @@ type PlacedSec struct {
 	Task   rts.SecurityTask
 	Core   int
 	Period rts.Time
+	text   string // number text of Task and Period, as PlacedRT's
 }
 
 // Tightness returns the achieved eta = TDes/period of the placement.
 func (p PlacedSec) Tightness() float64 { return p.Task.Tightness(p.Period) }
+
+// Text returns tasksetio.PlacedSecText of the placement, as PlacedRT.Text.
+func (p PlacedSec) Text() string {
+	if p.text == "" {
+		return tasksetio.PlacedSecText(p.Task, p.Period)
+	}
+	return p.text
+}
 
 // Placement reports a successful admission.
 type Placement struct {
@@ -593,6 +613,7 @@ func (s *System) WeightSum() float64 {
 // decision-affecting counter (the event version, the NextFit cursor, the
 // auto-reallocate rejection streak). It is what reads render, what a
 // persistence snapshot stores, and what RestoreSystem rebuilds a system from.
+// A placement keeps its fields' number text: build a changed one anew.
 type Snapshot struct {
 	ID           string
 	Scheme       string
@@ -615,7 +636,15 @@ func (s *System) Snapshot() Snapshot {
 	return s.snapshotLocked()
 }
 
+// snapshotLocked copies the committed state, keeping each placement's text
+// first: placements are replaced, never edited, so a text stays right.
 func (s *System) snapshotLocked() Snapshot {
+	for i := range s.rt {
+		s.rt[i].text = s.rt[i].Text()
+	}
+	for i := range s.sec {
+		s.sec[i].text = s.sec[i].Text()
+	}
 	return Snapshot{
 		ID:           s.id,
 		Scheme:       s.scheme,

@@ -16,6 +16,7 @@ import (
 	"hydra/internal/rts"
 	"hydra/internal/stats"
 	"hydra/internal/taskgen"
+	"hydra/internal/tasksetio"
 )
 
 // benchmarkable base workload: small, schedulable, deterministic.
@@ -231,13 +232,16 @@ func checkReachableOps(t *testing.T, run reachableRun, n int, pick func(int) int
 		if err := online.Verify(after); err != nil {
 			t.Fatalf("%s %v M=%d op %d: reachable state fails Verify: %v", scheme, h, m, op, err)
 		}
+		checkTexts(t, fmt.Sprintf("%s %v M=%d op %d", scheme, h, m, op), after)
 		restored, err := online.RestoreSystem(run.reallocAfter, after)
 		if err != nil {
 			t.Fatalf("%s %v M=%d op %d: reachable state not restorable: %v", scheme, h, m, op, err)
 		}
-		if got := restored.Snapshot(); !reflect.DeepEqual(got, after) {
+		got := restored.Snapshot()
+		if !reflect.DeepEqual(got, after) {
 			t.Fatalf("%s %v M=%d op %d: restored state differs:\n%+v\nwant\n%+v", scheme, h, m, op, got, after)
 		}
+		checkTexts(t, fmt.Sprintf("%s %v M=%d op %d: restored", scheme, h, m, op), got)
 		if op%8 != 0 {
 			continue
 		}
@@ -247,6 +251,9 @@ func checkReachableOps(t *testing.T, run reachableRun, n int, pick func(int) int
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("%s %v M=%d op %d: Reallocate of the restored state: %v; NewSystem on its tasks: %v", scheme, h, m, op, err1, err2)
 		}
+		if err1 == nil {
+			checkTexts(t, fmt.Sprintf("%s %v M=%d op %d: reallocated", scheme, h, m, op), realloc)
+		}
 		if err2 != nil {
 			continue
 		}
@@ -255,6 +262,23 @@ func checkReachableOps(t *testing.T, run reachableRun, n int, pick func(int) int
 		}
 	}
 	return rejects
+}
+
+// checkTexts fails unless every placement of snap carries the number text
+// the formatter gives its own fields. The DeepEqual checks cannot see a
+// stale text, because both sides copy the same one.
+func checkTexts(t *testing.T, what string, snap online.Snapshot) {
+	t.Helper()
+	for _, p := range snap.RT {
+		if got, want := p.CachedText(), tasksetio.PlacedRTText(p.Task); got != want {
+			t.Fatalf("%s: rt task %q carries text %q, its fields format as %q", what, p.Task.Name, got, want)
+		}
+	}
+	for _, p := range snap.Sec {
+		if got, want := p.CachedText(), tasksetio.PlacedSecText(p.Task, p.Period); got != want {
+			t.Fatalf("%s: security task %q carries text %q, its fields format as %q", what, p.Task.Name, got, want)
+		}
+	}
 }
 
 // FuzzOnlineOps is checkReachableOps with the fuzzer's bytes as the choice
@@ -638,6 +662,12 @@ func TestConcurrentAdmitsHammer(t *testing.T) {
 				var rej *online.Rejection
 				if !errors.As(err, &rej) {
 					t.Errorf("goroutine %d: %v", g, err)
+				}
+			}
+			// ...reads the state, whose number text each snapshot fills...
+			for _, p := range s.Snapshot().Sec {
+				if p.CachedText() != tasksetio.PlacedSecText(p.Task, p.Period) {
+					t.Errorf("goroutine %d: %q carries stale number text %q", g, p.Task.Name, p.CachedText())
 				}
 			}
 			// ...then churns its own tasks.

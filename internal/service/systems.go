@@ -115,19 +115,7 @@ func appendSystem(w *tasksetio.JSONWriter, snap online.Snapshot) {
 	w.Key("heuristic").String(snap.Heuristic.String())
 	w.Key("cores").Int(snap.M)
 	w.Key("version").Uint(snap.Version)
-	w.Key("rt_tasks").BeginArray()
-	for _, p := range snap.RT {
-		w.Elem().PlacedRT(p.Task, p.Core)
-	}
-	w.EndArray()
-	w.Key("security_tasks").BeginArray()
-	for _, p := range snap.Sec {
-		w.Elem().BeginObject()
-		w.PlacedSecurity(p.Task, p.Core, p.Period)
-		w.Key("tightness").Float(p.Tightness())
-		w.EndObject()
-	}
-	w.EndArray()
+	syspersist.AppendTasks(w, snap, true)
 	w.Key("cumulative_tightness").Float(snap.Cumulative)
 	w.EndObject()
 }

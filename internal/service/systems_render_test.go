@@ -17,6 +17,7 @@ import (
 	"hydra/internal/partition"
 	"hydra/internal/rts"
 	"hydra/internal/stats"
+	"hydra/internal/syspersist"
 	"hydra/internal/taskgen"
 	"hydra/internal/tasksetio"
 )
@@ -359,5 +360,81 @@ func TestSystemGetAllocs(t *testing.T) {
 	getBigSystem(t, h)
 	if allocs := testing.AllocsPerRun(50, func() { getBigSystem(t, h) }); allocs > 21 {
 		t.Fatalf("GET of a 600-task system = %.1f allocs/op, budget 21: the document fell back to encoding/json, or tracing leaked onto the untraced path", allocs)
+	}
+}
+
+// TestCrashRecoveryRendersSameDocuments recovers a system from crash
+// images: its directory copied while the server runs, so the op log holds
+// every acknowledged op and no final snapshot. The log runs past
+// snapshot.json by a tail of four ops, and an image is taken after each: a
+// security admit with a nonzero weight, at a period far above its desired
+// one; a real-time admit with D < T; the removal of the task that crowds
+// it; and a reallocation, which re-tunes its period to the desired one.
+// Recovery restores the snapshot, whose placements carry no number text
+// yet, and replays the tail. Each recovered GET body must equal the
+// pre-crash one byte for byte, and after the whole tail so must the
+// snapshot.json a Flush writes.
+func TestCrashRecoveryRendersSameDocuments(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{SystemsDir: dir, SnapshotEvery: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	const path = "/v1/systems/crash"
+	if w := post(t, s, "/v1/systems", createSystemBody("crash")); w.Code != http.StatusCreated {
+		t.Fatalf("create: %d %s", w.Code, w.Body)
+	}
+	if w := post(t, s, path+"/tasks", `{"security_task": {"name": "big", "wcet_ms": 600, "desired_period_ms": 1000, "max_period_ms": 10000}}`); w.Code != http.StatusOK {
+		t.Fatalf("admit big: %d %s", w.Code, w.Body)
+	}
+	ds, _ := s.systems.Get("crash")
+	if err := ds.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tail := []func() *httptest.ResponseRecorder{
+		func() *httptest.ResponseRecorder {
+			return post(t, s, path+"/tasks", `{"security_task": {"name": "audit", "wcet_ms": 600.5, "desired_period_ms": 1000, "max_period_ms": 9876.5, "weight": 0.75}}`)
+		},
+		func() *httptest.ResponseRecorder {
+			return post(t, s, path+"/tasks", `{"rt_task": {"name": "radio", "wcet_ms": 1.25, "period_ms": 50, "deadline_ms": 37.5}}`)
+		},
+		func() *httptest.ResponseRecorder { return del(t, s, path+"/tasks/big") },
+		func() *httptest.ResponseRecorder { return post(t, s, path+"/reallocate", "") },
+	}
+	var recovered *syspersist.DurableSystem
+	for i, op := range tail {
+		if w := op(); w.Code != http.StatusOK {
+			t.Fatalf("tail op %d: %d %s", i, w.Code, w.Body)
+		}
+		before := get(t, s, path).Body.Bytes()
+		image := t.TempDir()
+		if err := os.CopyFS(image, os.DirFS(dir)); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := New(Config{SystemsDir: image, SnapshotEvery: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s2.Close)
+		if after := get(t, s2, path); after.Code != http.StatusOK || !bytes.Equal(after.Body.Bytes(), before) {
+			t.Fatalf("GET after recovering a %d-op tail: %d\n%s\nbefore the crash:\n%s", i+1, after.Code, after.Body, before)
+		}
+		recovered, _ = s2.systems.Get("crash")
+	}
+	if doc := get(t, s, path).Body.String(); !strings.Contains(doc, `"weight": 0.75`) || !strings.Contains(doc, `"deadline_ms": 37.5`) {
+		t.Fatalf("the final document lacks the weighted or the D < T task:\n%s", doc)
+	}
+	var snaps [2][]byte
+	for i, d := range []*syspersist.DurableSystem{ds, recovered} {
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if snaps[i], err = os.ReadFile(filepath.Join(d.Dir(), "snapshot.json")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(snaps[1], snaps[0]) {
+		t.Fatalf("snapshot.json after recovery:\n%s\nbefore the crash:\n%s", snaps[1], snaps[0])
 	}
 }

@@ -120,20 +120,25 @@ func renderSnapshot(snap online.Snapshot, seq uint64) ([]byte, bool) {
 	if snap.RejectStreak != 0 {
 		w.Key("reject_streak").Int(snap.RejectStreak)
 	}
+	AppendTasks(&w, snap, false)
+	w.EndObject()
+	return append(w.Buf, '\n'), w.OK()
+}
+
+// AppendTasks writes the rt_tasks and security_tasks members of both
+// documents of a hosted system, snapshot.json and GET /v1/systems/{id} (with
+// tightness), each task from its placement's number text.
+func AppendTasks(w *tasksetio.JSONWriter, snap online.Snapshot, tightness bool) {
 	w.Key("rt_tasks").BeginArray()
 	for _, p := range snap.RT {
-		w.Elem().PlacedRT(p.Task, p.Core)
+		w.Elem().PlacedRT(p.Task.Name, p.Text(), p.Core)
 	}
 	w.EndArray()
 	w.Key("security_tasks").BeginArray()
 	for _, p := range snap.Sec {
-		w.Elem().BeginObject()
-		w.PlacedSecurity(p.Task, p.Core, p.Period)
-		w.EndObject()
+		w.Elem().PlacedSecurity(p.Task.Name, p.Text(), p.Core, tightness)
 	}
 	w.EndArray()
-	w.EndObject()
-	return append(w.Buf, '\n'), w.OK()
 }
 
 // snapshot converts the file back into the system's snapshot, with the

@@ -6,6 +6,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"hydra/internal/rts"
 )
 
 // FuzzDecode checks that arbitrary input never panics the decoder and that
@@ -40,9 +42,10 @@ func FuzzDecode(f *testing.F) {
 // string and any float64 bit pattern, each appends exactly the bytes
 // json.Marshal returns, or both fail. So does JSONWriter.Result on a
 // one-task result document whose names and reason are the string and whose
-// floats are the float64. The committed corpus seeds NaN, the infinities,
-// -0, a subnormal, the 'e'-form cutoffs, invalid UTF-8, U+2028, HTML
-// characters and control characters.
+// floats are the float64, and so do the placement writers on the number
+// text of such tasks (checkPlacedText). The committed corpus seeds NaN, the
+// infinities, -0, a subnormal, the 'e'-form cutoffs, invalid UTF-8, U+2028,
+// HTML characters and control characters.
 func FuzzAppendJSON(f *testing.F) {
 	// Each primitive appends to a fresh copy of prefix, so what it leaves
 	// before its output is checked too.
@@ -79,5 +82,53 @@ func FuzzAppendJSON(f *testing.F) {
 		case ok && string(got) != string(want):
 			t.Fatalf("result document of %q, %v:\n%s\nencoding/json:\n%s", s, x, got, want)
 		}
+		checkPlacedText(t, s, x)
 	})
+}
+
+// checkPlacedText renders a hosted system's placements through their number
+// text, every float x and the deadline x/2, and compares them with
+// encoding/json's rendering of the members the documents give them.
+func checkPlacedText(t *testing.T, s string, x float64) {
+	type rtRef struct {
+		Name     string  `json:"name"`
+		WCET     float64 `json:"wcet_ms"`
+		Period   float64 `json:"period_ms"`
+		Deadline float64 `json:"deadline_ms,omitempty"`
+		Core     int     `json:"core"`
+	}
+	type secRef struct {
+		Name      string   `json:"name"`
+		WCET      float64  `json:"wcet_ms"`
+		Desired   float64  `json:"desired_period_ms"`
+		Max       float64  `json:"max_period_ms"`
+		Weight    float64  `json:"weight,omitempty"`
+		Core      int      `json:"core"`
+		Period    float64  `json:"period_ms"`
+		Tightness *float64 `json:"tightness,omitempty"`
+	}
+	rt := rts.RTTask{Name: s, C: x, T: x, D: x / 2}
+	sec := rts.SecurityTask{Name: s, C: x, TDes: x, TMax: x, Weight: x}
+	deadline, eta := 0.0, sec.Tightness(x)
+	if rt.D != rt.T {
+		deadline = rt.D
+	}
+	for _, c := range []struct {
+		ref    any
+		render func(*JSONWriter)
+	}{
+		{rtRef{s, x, x, deadline, 0}, func(w *JSONWriter) { w.PlacedRT(s, PlacedRTText(rt), 0) }},
+		{secRef{s, x, x, x, x, 1, x, &eta}, func(w *JSONWriter) { w.PlacedSecurity(s, PlacedSecText(sec, x), 1, true) }},
+		{secRef{s, x, x, x, x, 1, x, nil}, func(w *JSONWriter) { w.PlacedSecurity(s, PlacedSecText(sec, x), 1, false) }},
+	} {
+		want, err := json.MarshalIndent(c.ref, "", "  ")
+		var w JSONWriter
+		c.render(&w)
+		switch {
+		case w.OK() != (err == nil):
+			t.Fatalf("placement of %q, %v: ok = %t, encoding/json error = %v", s, x, w.OK(), err)
+		case w.OK() && string(w.Buf) != string(want):
+			t.Fatalf("placement of %q, %v:\n%s\nencoding/json:\n%s", s, x, w.Buf, want)
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"strconv"
+	"strings"
 
 	"hydra/internal/rts"
 )
@@ -50,10 +51,10 @@ func appendFloat(b []byte, f float64) ([]byte, bool) {
 
 // JSONWriter appends one JSON value to Buf laid out as
 // json.MarshalIndent(v, "", "  ") lays out v: one member or element per
-// line, two spaces of indent per level, and "{}" or "[]" for an empty
-// object or array. Strings and floats are the bytes appendString and
-// appendFloat give. The caller supplies the structure: Key before each
-// object member, Elem before each array element.
+// line, two spaces of indent per level, at most 16 levels deep, and "{}" or
+// "[]" for an empty object or array. Strings and floats are the bytes
+// appendString and appendFloat give. The caller supplies the structure: Key
+// before each object member, Elem before each array element.
 type JSONWriter struct {
 	Buf       []byte
 	depth     int
@@ -89,13 +90,11 @@ func (w *JSONWriter) next() {
 	w.newline()
 }
 
+// newlineIndent is a newline and the indent of the deepest level, 16.
+const newlineIndent = "\n                                "
+
 // newline ends the line and indents the next to the current depth.
-func (w *JSONWriter) newline() {
-	w.Buf = append(w.Buf, '\n')
-	for i := 0; i < w.depth; i++ {
-		w.Buf = append(w.Buf, "  "...)
-	}
-}
+func (w *JSONWriter) newline() { w.Buf = append(w.Buf, newlineIndent[:1+2*w.depth]...) }
 
 // BeginObject opens an object.
 func (w *JSONWriter) BeginObject() { w.begin('{') }
@@ -146,34 +145,81 @@ func (w *JSONWriter) Uint(u uint64) { w.Buf = strconv.AppendUint(w.Buf, u, 10) }
 // PlacedRT writes a committed real-time task as the object both documents
 // of a hosted system carry, GET /v1/systems/{id} and snapshot.json: name,
 // wcet_ms, period_ms, deadline_ms only when the deadline differs from the
-// period and is nonzero, then core.
-func (w *JSONWriter) PlacedRT(t rts.RTTask, core int) {
+// period and is nonzero, then core. text is PlacedRTText of the task.
+func (w *JSONWriter) PlacedRT(name, text string, core int) {
 	w.BeginObject()
-	w.Key("name").String(t.Name)
-	w.Key("wcet_ms").Float(t.C)
-	w.Key("period_ms").Float(t.T)
-	if t.D != t.T && t.D != 0 {
-		w.Key("deadline_ms").Float(t.D)
-	}
+	w.Key("name").String(name)
+	w.numbers(text, "wcet_ms", "period_ms", "deadline_ms")
 	w.Key("core").Int(core)
 	w.EndObject()
 }
 
-// PlacedSecurity writes the members both documents of a hosted system give a
-// committed security task, into an object the caller begins and ends: name,
-// wcet_ms, desired_period_ms, max_period_ms, weight only when nonzero, core
-// and the adapted period_ms. GET /v1/systems/{id} follows them with the
-// task's tightness.
-func (w *JSONWriter) PlacedSecurity(t rts.SecurityTask, core int, period float64) {
-	w.Key("name").String(t.Name)
-	w.Key("wcet_ms").Float(t.C)
-	w.Key("desired_period_ms").Float(t.TDes)
-	w.Key("max_period_ms").Float(t.TMax)
-	if t.Weight != 0 {
-		w.Key("weight").Float(t.Weight)
-	}
+// PlacedSecurity writes a committed security task as both documents do:
+// name, wcet_ms, desired_period_ms, max_period_ms, weight only when nonzero,
+// core, the adapted period_ms and, when tightness is set, as it is for
+// GET /v1/systems/{id}, the tightness. text is PlacedSecText of the task.
+func (w *JSONWriter) PlacedSecurity(name, text string, core int, tightness bool) {
+	w.BeginObject()
+	w.Key("name").String(name)
+	text = w.numbers(text, "wcet_ms", "desired_period_ms", "max_period_ms", "weight")
 	w.Key("core").Int(core)
-	w.Key("period_ms").Float(period)
+	text = w.numbers(text, "period_ms")
+	if tightness {
+		w.numbers(text, "tightness")
+	}
+	w.EndObject()
+}
+
+// numbers writes one member per key whose value is the next field of a
+// number text, leaving out a key whose field is empty, and returns the
+// fields left. A non-finite field marks the writer not OK.
+func (w *JSONWriter) numbers(text string, keys ...string) string {
+	for _, k := range keys {
+		i := strings.IndexByte(text, ' ') // -1 past the last field
+		if v := text[:max(i, 0)]; v == nonFiniteField {
+			w.nonFinite = true
+		} else if v != "" {
+			w.Key(k)
+			w.Buf = append(w.Buf, v...)
+		}
+		text = text[i+1:]
+	}
+	return text
+}
+
+// nonFiniteField stands in a number text for a NaN or infinite value.
+const nonFiniteField = "!"
+
+// numberText formats a number text: one field per value, each ended by a
+// space, holding the value as encoding/json encodes it, nothing where
+// present is false, or nonFiniteField where encoding/json refuses it.
+func numberText(vals []float64, present []bool) string {
+	var buf [144]byte
+	b := buf[:0]
+	for i, f := range vals {
+		if present[i] {
+			var ok bool
+			if b, ok = appendFloat(b, f); !ok {
+				b = append(b, nonFiniteField...)
+			}
+		}
+		b = append(b, ' ')
+	}
+	return string(b)
+}
+
+// PlacedRTText formats the numbers PlacedRT writes for a committed
+// real-time task: wcet_ms, period_ms and deadline_ms.
+func PlacedRTText(t rts.RTTask) string {
+	return numberText([]float64{t.C, t.T, t.D}, []bool{true, true, t.D != t.T && t.D != 0})
+}
+
+// PlacedSecText formats the numbers PlacedSecurity writes for a committed
+// security task at its adapted period: wcet_ms, desired_period_ms,
+// max_period_ms, weight, period_ms and tightness.
+func PlacedSecText(t rts.SecurityTask, period float64) string {
+	return numberText([]float64{t.C, t.TDes, t.TMax, t.Weight, period, t.Tightness(period)},
+		[]bool{true, true, true, t.Weight != 0, true, true})
 }
 
 // Result writes the result document: the bytes encoding/json gives rj, with
